@@ -561,10 +561,10 @@ def batch_workload(env: Env, res: Result, kind: str) -> None:
     res.values["peak_rss_mb"] = peak_rss_mb()
 
     # The cells this batch measured, served from its warm cache: every
-    # hit must be answered from the cache. The fill also asks for each
-    # cell's lint report (twice at once, so single-flight coalesces the
-    # pair) and security metrics; the traffic plan may add never-seen
-    # keys (the miss path).
+    # hit must be answered from the cache. For sweep-ladder the fill
+    # also asks for each cell's lint report (twice at once, so
+    # single-flight coalesces the pair) and security metrics, and for a
+    # few never-seen keys (the miss path).
     plan = CONFIG["traffic"][kind]
     cells = paper_cells() if kind == "paper-fast" else sweep_cells()
     server = Server(env, "serve", env.work / "cache-0", seed=env.seed)
