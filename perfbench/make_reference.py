@@ -28,7 +28,7 @@ import run  # noqa: E402
 
 
 def main() -> int:
-    seed = run.CONFIG["reference_seed"]
+    seed = run.REFERENCE_SEED
     work = run.HERE / ".work" / "reference"
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir(parents=True)

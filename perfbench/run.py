@@ -1,22 +1,23 @@
 """End-to-end benchmark of the PIBE reproduction.
 
-    python3 perfbench/run.py --workload paper-fast --seed 7 --seconds 50 \
+    python3 perfbench/run.py --workload paper-fast --seed 7 --seconds 60 \
         --trace 0
 
 Run from the root of a checkout. Workloads (see ``perfbench/README.md``):
 
 - ``paper-fast``: the 14 experiments of ``examples/full_evaluation.py
   --fast`` with one job, cold from an empty cache and warm in fresh
-  processes, then the measured cells served by ``repro serve``;
+  processes;
 - ``sweep-ladder``: ``repro sweep --fast -j <nproc>`` over the fast
-  grid, cold and warm, then the grid's cells served under traffic that
-  also carries never-seen keys, lint and security calls.
+  grid, cold and warm, then the grid's cells, their lint reports and
+  security metrics and a few never-seen keys served by ``repro serve``.
 
 With ``--trace 0`` the last stdout line is the end-to-end result; with
 ``--trace 1`` every program process runs under the timing wrappers of
-``tracer.py`` and the last line carries the per-layer metrics. Lines
-before it are a human-readable summary. Exit status 2 means the
-checkout holds no program to measure.
+``tracer.py``, ``sweep-ladder`` also times open-loop serve traffic, and
+the last line carries the per-layer metrics. Lines before it are a
+human-readable summary. Exit status 2 means the checkout holds no
+program to measure.
 """
 
 from __future__ import annotations
@@ -44,9 +45,52 @@ import helpers  # noqa: E402
 import loadgen  # noqa: E402
 import tracer  # noqa: E402
 
-CONFIG = json.loads((HERE / "config.json").read_text(encoding="utf-8"))
 REFERENCE = HERE / "reference"
+#: The seed the committed reference outputs were rendered at.
+REFERENCE_SEED = 7
 WORKLOADS = ("paper-fast", "sweep-ladder")
+
+#: A round is a batch of set-up launches, a cold pass and this many warm
+#: passes. paper-fast's warm pass costs half its cold one, sweep-ladder's
+#: a third.
+WARM_PASSES = {"paper-fast": 1, "sweep-ladder": 2}
+#: Set-up launches per ``setup_s`` sample (see :func:`setup_batch`).
+SETUP_BATCH = 3
+
+#: The ``fast`` sweep preset spelled out, so that the run seed can set
+#: its seed base: 3 defenses x 3 budgets x 2 workloads x 2 seeds.
+SWEEP_GRID = {
+    "budgets": [0.5, 0.9, 0.999999],
+    "defenses": ["retpolines", "llvm-cfi", "all"],
+    "workloads": ["lmbench", "apache"],
+    "scales": ["small"],
+    "seeds": 2,
+}
+
+# -- serving phase (sweep-ladder) ---------------------------------------------
+
+#: Time a run keeps back from its pass rounds for the serving fill.
+SERVE_RESERVE_S = 5.0
+#: Ops asked for each grid cell in the fill; lint twice at once, so that
+#: single-flight coalesces the pair.
+FILL_OPS = ("measure", "lint", "lint", "security")
+#: Never-seen keys in the fill: one batched dispatch through prefix
+#: deltas, the engine and cache writes.
+FILL_MISSES = 4
+MISS_DEFENSES = ("retpolines", "all", "lvi", "ret-retpolines")
+MISS_BUDGETS = (0.85, 0.995)
+ZIPF_S = 1.1
+#: Latency limit of the timed traffic (traced runs only).
+LIMIT_MS = 1000.0
+#: (rate/s, requests) of the untimed warm-up and the two fixed rates;
+#: each rate's requests are cut into ``CHUNKS`` chunks.
+WARMUP = (1000, 1000)
+LIGHT = (1000, 6000)
+HEAVY = (2000, 6000)
+CHUNKS = 6
+#: ``max_rps`` ladder (rates/s), each rung ``RUNG_SECONDS`` long.
+LADDER = (2500, 3000, 3500, 4000, 4500)
+RUNG_SECONDS = 0.5
 
 
 def nproc() -> int:
@@ -205,8 +249,7 @@ class Result:
 
 UNITS = {
     "setup_s": "s", "cold_s": "s", "warm_s": "s", "peak_rss_mb": "MB",
-    "cache_mb": "MB", "p50_ms.light": "ms", "p99_ms.light": "ms",
-    "p50_ms.heavy": "ms", "p99_ms.heavy": "ms", "max_rps": "1/s",
+    "cache_mb": "MB",
 }
 
 
@@ -233,11 +276,10 @@ def make_request_factory(seed: int, cells: List[Dict[str, Any]]) -> Callable:
     """``make(kind, rng)`` for :func:`loadgen.phase_requests`: a ``hit``
     is a Zipf-popular cell (popularity order shuffled by the seed), a
     ``miss`` a config with a budget never asked for before."""
-    cfg = CONFIG["serve"]
     order = list(range(len(cells)))
     random.Random(seed).shuffle(order)
-    cdf = loadgen.zipf_cdf(len(cells), cfg["zipf_s"])
-    lo, hi = cfg["miss_budget_range"]
+    cdf = loadgen.zipf_cdf(len(cells), ZIPF_S)
+    lo, hi = MISS_BUDGETS
     used = set()
 
     def make(kind: str, rng: random.Random):
@@ -247,8 +289,7 @@ def make_request_factory(seed: int, cells: List[Dict[str, Any]]) -> Callable:
         while True:
             budget = round(rng.uniform(lo, hi), 6)
             params = {
-                "config": config_params(
-                    rng.choice(cfg["miss_defenses"]), budget),
+                "config": config_params(rng.choice(MISS_DEFENSES), budget),
                 "workload": "lmbench",
             }
             key = key_of("measure", params)
@@ -302,74 +343,66 @@ def drive(server: Server, reqs: List[loadgen.Request]) -> None:
         gc.enable()
 
 
-def fill(server: Server, env: Env, cells, plan: Dict[str, Any],
-         res: Result, seen) -> None:
-    """Every op in ``fill_ops`` on every cell, plus ``fill_misses``
-    never-seen keys, all due at once: the misses share one batched
-    dispatch (prefix deltas, the engine, cache writes) and a repeated
-    op on a cell coalesces through single-flight."""
+def fill(server: Server, env: Env, cells, res: Result, seen) -> None:
+    """Every op in :data:`FILL_OPS` on every cell, plus
+    :data:`FILL_MISSES` never-seen keys, all due at once: the misses
+    share one batched dispatch (prefix deltas, the engine, cache writes)
+    and a repeated op on a cell coalesces through single-flight."""
     reqs = []
     for cell in cells:
-        for op in plan["fill_ops"]:
+        for op in FILL_OPS:
             params = cell if op == "measure" else {
                 "config": cell["config"], "workload": cell["workload"]}
             reqs.append(loadgen.Request(0.0, op, params, key_of(op, params),
                                         "hit"))
     make = make_request_factory(env.seed, cells)
     rng = random.Random(env.seed)
-    for _ in range(plan["fill_misses"]):
+    for _ in range(FILL_MISSES):
         op, params, key = make("miss", rng)
         reqs.append(loadgen.Request(0.0, op, params, key, "miss"))
     drive(server, reqs)
     check_responses(res, reqs, seen)
-    for req in reqs:
-        if req.kind == "miss" and req.sample.latency is not None:
-            res.add("miss_ms", req.sample.latency * 1000.0)
+    res.values["miss_ms"] = helpers.median([
+        req.sample.latency * 1000.0 for req in reqs
+        if req.kind == "miss" and req.sample.latency is not None
+    ] or [0.0])
 
 
-def traffic(server: Server, env: Env, cells, plan: Dict[str, Any],
-            res: Result, seen) -> None:
-    """Open-loop traffic at two fixed rates (``light``, ``heavy``) and the
-    ``max_rps`` ladder.
+def traffic(server: Server, env: Env, cells, res: Result, seen) -> None:
+    """Open-loop hit traffic at two fixed rates (``light``, ``heavy``) and
+    the ``max_rps`` ladder; traced runs only, for the ``serve`` layer.
 
     Each block is a separate open-loop phase with a fixed request count.
-    The light and heavy phases are cut into ``chunks`` interleaved with
-    the ladder rungs, in the same order on every run, so that each
-    metric's samples spread over the whole run rather than one stretch
-    of it (host speed drifts on a scale of seconds). Each chunk is large
-    enough to report its own p99, and a rate's p50 and p99 are the
-    medians over its chunks: one slow second of the host moves one
-    chunk, not the result. The traffic carries hits only: misses, lint and security
-    calls made the per-chunk p99 swing with each call's cost (their pool
-    workers or the evaluation thread share the two CPUs with the event
-    loop), so they are made by :func:`fill` before it. A latency-limit
-    miss is a failed operation in the light and heavy phases; rungs
-    beyond capacity miss it by design and only decide ``max_rps``.
+    The light and heavy phases are cut into :data:`CHUNKS` chunks
+    interleaved with the ladder rungs, in the same order on every run.
+    Each chunk is large enough to report its own p99, and a rate's p50
+    and p99 are the medians over its chunks, so one slow second of the
+    host moves one chunk, not the result. A latency-limit miss is a
+    failed operation in the light and heavy phases; rungs beyond
+    capacity miss it by design and only decide ``max_rps``.
     """
-    limit_ms = CONFIG["serve"]["limit_ms"]
     make = make_request_factory(env.seed, cells)
     rng = random.Random(env.seed * 7919 + 1)
-    chunks = plan["chunks"]
-    ladder = sorted(plan["ladder"])
+    fixed = {"light": LIGHT, "heavy": HEAVY}
     chunked: Dict[str, List[helpers.PhaseStats]] = {"light": [], "heavy": []}
     rungs, lags = [], []
     # Untimed warm-up at the light rate: the collections and lazy set-up
     # that follow the fill land here, not in the first chunk.
-    rate, count = plan["warmup"]
+    rate, count = WARMUP
     reqs = loadgen.phase_requests(rng, rate, ["hit"] * count, make)
     drive(server, reqs)
     check_responses(res, reqs, seen)
-    for c in range(chunks):
-        blocks = [(name, plan[name][0], plan[name][1] // chunks)
-                  for name in ("light", "heavy")]
-        blocks += [(f"rung-{rate}", rate, int(rate * plan["rung_seconds"]))
-                   for rate in ladder[c::chunks]]
+    for c in range(CHUNKS):
+        blocks = [(name, rate, count // CHUNKS)
+                  for name, (rate, count) in fixed.items()]
+        blocks += [(f"rung-{rate}", rate, int(rate * RUNG_SECONDS))
+                   for rate in LADDER[c::CHUNKS]]
         for name, rate, count in blocks:
             reqs = loadgen.phase_requests(rng, rate, ["hit"] * count, make)
             drive(server, reqs)
             check_responses(res, reqs, seen)
             stats = helpers.summarize_phase(
-                [r.sample for r in reqs], rate, limit_ms / 1000.0
+                [r.sample for r in reqs], rate, LIMIT_MS / 1000.0
             )
             lags.append(stats.lateness_p99_ms)
             if name in chunked:
@@ -389,26 +422,36 @@ def traffic(server: Server, env: Env, cells, plan: Dict[str, Any],
                 res.notes.append(f"{metric}.{name}: too few samples")
                 continue
             res.values[f"{metric}.{name}"] = helpers.median(values)
-            res.values[f"samples.{metric}.{name}"] = sum(
+            res.values[f"samples.serve.{metric}.{name}"] = sum(
                 p.samples for p in parts)
         res.notes.append(
-            f"{name}: {plan[name][0]} rps, per-chunk p50 "
+            f"{name}: {fixed[name][0]} rps, per-chunk p50 "
             f"{[round(p.p50_ms or 0, 2) for p in parts]} ms, p99 "
             f"{[round(p.p99_ms or 0, 1) for p in parts]} ms"
         )
-    res.values["max_rps"] = helpers.max_rps(rungs, limit_ms)
+    res.values["max_rps"] = helpers.max_rps(rungs, LIMIT_MS)
     res.values["gen_lag_ms"] = max(lags)
-    res.values["server_stats"] = server.call("stats")["result"]
 
 
-def serve_layer(stats: Dict[str, Any], gen_lag_ms: float, miss_ms: float
+#: Per-layer ``serve`` metrics the load generator measures, and units.
+TRAFFIC_UNITS = {
+    "p50_ms.light": "ms", "p99_ms.light": "ms", "p50_ms.heavy": "ms",
+    "p99_ms.heavy": "ms", "max_rps": "1/s", "gen_lag_ms": "ms",
+    "miss_ms": "ms",
+}
+
+
+def serve_layer(stats: Optional[Dict[str, Any]], values: Dict[str, float]
                 ) -> Dict[str, Tuple[float, str]]:
-    """The ``serve`` per-layer metrics from the public ``stats`` op."""
+    """The ``serve`` per-layer metrics: counters from the public ``stats``
+    op and latencies from the load generator (0 for a workload that
+    serves nothing)."""
+    stats = stats or {"server": {"counters": {}, "endpoints": {}}}
     counters = stats["server"]["counters"]
     measure = stats["server"]["endpoints"].get("measure", {})
     hits = counters.get("inline_hits", 0)
     batches = counters.get("batches", 0)
-    return {
+    out = {
         "serve.inline_hit_ratio": (
             hits / measure["count"] if measure.get("count") else 0.0,
             "ratio"),
@@ -420,12 +463,32 @@ def serve_layer(stats: Dict[str, Any], gen_lag_ms: float, miss_ms: float
             "count"),
         "serve.server_p99_ms": (measure.get("p99_ms", 0.0), "ms"),
         "serve.errors": (counters.get("errors", 0), "count"),
-        "serve.gen_lag_ms": (gen_lag_ms, "ms"),
-        "serve.miss_ms": (miss_ms, "ms"),
     }
+    for name, unit in TRAFFIC_UNITS.items():
+        out[f"serve.{name}"] = (values.get(name, 0.0), unit)
+    return out
 
 
 # -- batch workloads ----------------------------------------------------------
+
+
+def setup_batch(env: Env, res: Result) -> None:
+    """One ``setup_s`` sample: the mean time from a fresh process until
+    its context is built, over :data:`SETUP_BATCH` launches in a row.
+
+    The host's CPUs switch between a fast and a slow state every second
+    or so, and one launch is shorter than that, so single launches fall
+    into two clusters and their median jumps between them. A batch
+    spans a few switches."""
+    times = []
+    for _ in range(SETUP_BATCH):
+        _, ready, rc = run_child(env, ["ready", "--seed", str(env.seed)],
+                                 wait_ready=True, traced=False)
+        res.op(rc == 0 and ready is not None, "setup launch")
+        if ready is not None:
+            times.append(ready)
+    if times:
+        res.add("setup_s", sum(times) / len(times))
 
 
 def paper_pass(env: Env, cache: Path, out: Path) -> Tuple[float, int]:
@@ -438,7 +501,7 @@ def paper_pass(env: Env, cache: Path, out: Path) -> Tuple[float, int]:
 
 
 def sweep_grid(seed: int) -> str:
-    return json.dumps(dict(CONFIG["sweep"]["grid"], seed_base=seed))
+    return json.dumps(dict(SWEEP_GRID, seed_base=seed))
 
 
 def sweep_pass(env: Env, cache: Path, out: Path) -> Tuple[float, int]:
@@ -469,70 +532,41 @@ def sweep_failed_cells(err: Path) -> int:
     return 1  # no stats line: the sweep did not finish
 
 
-def paper_cells() -> List[Dict[str, Any]]:
-    """Cells the paper tables measure (a subset of the example's
-    prefetch list): served back after the batch."""
-    from repro.core.config import PibeConfig
-    from repro.hardening.defenses import DefenseConfig
-    from repro.serve.protocol import config_to_dict
-
-    all_def = DefenseConfig.all_defenses()
-    retp = DefenseConfig.retpolines_only()
-    configs = [
-        PibeConfig.lto_baseline(),
-        PibeConfig.pibe_baseline(),
-        PibeConfig.hardened(retp),
-        PibeConfig.hardened(retp, icp_budget=0.99999),
-        PibeConfig.hardened(DefenseConfig.ret_retpolines_only()),
-        PibeConfig.hardened(DefenseConfig.lvi_only()),
-        PibeConfig.hardened(all_def),
-        PibeConfig.hardened(all_def, icp_budget=0.99999),
-        PibeConfig.lax(all_def),
-    ]
-    return [{"config": config_to_dict(c), "workload": "lmbench"}
-            for c in configs]
-
-
 def sweep_cells() -> List[Dict[str, Any]]:
     """Every (defense, budget, workload) cell of the sweep grid."""
-    grid = CONFIG["sweep"]["grid"]
     return [
         {"config": config_params(defense, budget), "workload": workload}
-        for defense in grid["defenses"]
-        for budget in grid["budgets"]
-        for workload in grid["workloads"]
+        for defense in SWEEP_GRID["defenses"]
+        for budget in SWEEP_GRID["budgets"]
+        for workload in SWEEP_GRID["workloads"]
     ]
 
 
 def batch_workload(env: Env, res: Result, kind: str) -> None:
-    """Setup launches, then rounds of one cold pass and ``warm_passes``
-    warm passes (warm passes are the shorter, noisier ones) until the
-    round budget is spent, then the workload's cells served from its
-    warm cache."""
+    """Rounds of one cold pass and :data:`WARM_PASSES` warm passes, each
+    pass preceded by a set-up launch, until the round budget is spent.
+
+    Every metric thus takes its samples across the whole run rather than
+    one stretch of it: the host's speed drifts over seconds to minutes,
+    and a median over samples spread in time follows its typical speed.
+    sweep-ladder then serves its grid's cells from the warm cache.
+    """
     run_pass = paper_pass if kind == "paper-fast" else sweep_pass
     suffix = ".txt" if kind == "paper-fast" else ".csv"
-    reference_path = REFERENCE / (kind + suffix)
-    reference = None
-    if env.seed == CONFIG["reference_seed"]:
-        reference = (paper_blocks(reference_path) if kind == "paper-fast"
-                     else csv_rows(reference_path))
     read = paper_blocks if kind == "paper-fast" else csv_rows
+    reference = None
+    if env.seed == REFERENCE_SEED:
+        reference = read(REFERENCE / (kind + suffix))
 
     started = time.perf_counter()
-    for _ in range(CONFIG["setup_launches"]):
-        _, ready, rc = run_child(env, ["ready", "--seed", str(env.seed)],
-                                 wait_ready=True, traced=False)
-        res.op(rc == 0 and ready is not None, "setup launch")
-        if ready is not None:
-            res.add("setup_s", ready)
-
+    budget = env.seconds - (SERVE_RESERVE_S if kind == "sweep-ladder" else 0)
     first = None
-    budget = env.seconds - CONFIG["serving_seconds"]
     i = 0
     while True:
         cache = env.work / f"cache-{i}"
         outputs = []
-        for phase in ["cold"] + ["warm"] * CONFIG["warm_passes"]:
+        setup_batch(env, res)
+        for phase in ["cold"] + ["warm"] * WARM_PASSES[kind]:
             out = env.work / f"{phase}-{i}{suffix}"
             wall, rc = run_pass(env, cache, out)
             res.add(f"{phase}_s", wall)
@@ -558,20 +592,25 @@ def batch_workload(env: Env, res: Result, kind: str) -> None:
         # A traced run makes exactly one round, so its counts repeat.
         if env.trace_dir is not None or elapsed + elapsed / i > budget:
             break
+    # Set-up batches are short: the time no full round fits in goes to
+    # more of them.
+    while env.trace_dir is None and time.perf_counter() - started \
+            + SETUP_BATCH * helpers.median(res.samples["setup_s"]) < budget:
+        setup_batch(env, res)
     res.values["peak_rss_mb"] = peak_rss_mb()
+    if kind != "sweep-ladder":
+        return
 
-    # The cells this batch measured, served from its warm cache: every
-    # hit must be answered from the cache. For sweep-ladder the fill
-    # also asks for each cell's lint report (twice at once, so
-    # single-flight coalesces the pair) and security metrics, and for a
-    # few never-seen keys (the miss path).
-    plan = CONFIG["traffic"][kind]
-    cells = paper_cells() if kind == "paper-fast" else sweep_cells()
+    # Served from the warm cache, every hit must come from the cache and
+    # every repeated key must get the same answer.
+    cells = sweep_cells()
     server = Server(env, "serve", env.work / "cache-0", seed=env.seed)
     try:
         seen: Dict[str, Any] = {}
-        fill(server, env, cells, plan, res, seen)
-        traffic(server, env, cells, plan, res, seen)
+        fill(server, env, cells, res, seen)
+        if env.trace_dir is not None:
+            traffic(server, env, cells, res, seen)
+        res.values["server_stats"] = server.call("stats")["result"]
     finally:
         server.stop()
 
@@ -602,9 +641,8 @@ def traced_run(name: str, env: Env) -> Result:
     res.layer["cache.quarantined"] = (
         sum(1 for _ in env.work.glob("cache-*/quarantine/*")), "count"
     )
-    res.layer.update(serve_layer(res.values["server_stats"],
-                                 res.values["gen_lag_ms"],
-                                 res.values.get("miss_ms", 0.0)))
+    res.layer.update(serve_layer(res.values.get("server_stats"),
+                                 res.values))
     res.layer["trace.overhead_s"] = (
         res.samples["cold_s"][0] - plain_cold, "s"
     )
@@ -633,8 +671,8 @@ def stamp() -> Dict[str, Any]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
-    parser.add_argument("--seed", type=int, default=CONFIG["reference_seed"])
-    parser.add_argument("--seconds", type=float, default=50.0)
+    parser.add_argument("--seed", type=int, default=REFERENCE_SEED)
+    parser.add_argument("--seconds", type=float, default=60.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if not (Path("src") / "repro" / "__init__.py").is_file():

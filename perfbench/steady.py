@@ -2,14 +2,16 @@
 metric's median, IQR and spread relative to its bound.
 
     python3 perfbench/steady.py [--runs 10] [--seed-base 1] \
-        [--workload NAME ...] [--seconds N]
+        [--workload NAME ...] [--seconds N] [-o RAW.json] \
+        [--against EARLIER-RAW.json]
 
 Run from the root of a checkout. Each run uses its own seed
-(``seed-base + i``), as the acceptance gate does. Spread is
-``(q3 - q1) / median`` with the quartiles of
-``statistics.quantiles(values, n=4)``; the target is a spread below a
-third of the metric's bound in ``BENCHMARK.json`` (``setup_s`` is
-reported but, like the gate, not held to its bound).
+(``seed-base + i``). Spread is ``(q3 - q1) / median`` with the quartiles
+of ``statistics.quantiles(values, n=4)``; every metric, ``setup_s``
+included, is held to a spread below its bound in ``BENCHMARK.json``,
+with a third of the bound as the target. With ``--against`` the medians
+are also compared with those of an earlier set (its ``-o`` file): a
+metric whose median got worse by more than its bound fails.
 """
 
 from __future__ import annotations
@@ -33,11 +35,15 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append")
     parser.add_argument("--seconds", type=int, default=bench["run_seconds"])
     parser.add_argument("-o", "--output", help="also write raw values here")
+    parser.add_argument("--against", help="raw values of an earlier set")
     args = parser.parse_args(argv)
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
+    lower = {m["name"]: m["better"] == "lower" for m in bench["end_to_end"]}
+    earlier = json.loads(Path(args.against).read_text()) if args.against \
+        else {}
     raw = {}
-    worst = 0.0
+    worst = worst_drift = 0.0
     for workload in workloads:
         values = {name: [] for name in bounds}
         failures = 0
@@ -63,18 +69,28 @@ def main(argv=None) -> int:
         raw[workload] = values
         print(f"{workload}: {args.runs - failures}/{args.runs} runs correct")
         print(f"  {'metric':16s} {'median':>12s} {'iqr':>12s} "
-              f"{'spread':>8s} {'bound':>6s} {'spread/bound':>12s}")
+              f"{'spread':>8s} {'bound':>6s} {'spread/bound':>12s}"
+              + (f" {'worse/bound':>11s}" if earlier else ""))
         for name, vals in values.items():
             if not vals:
                 continue
             s = helpers.spread(vals)
             ratio = s["rel_iqr"] / bounds[name]
-            if name != "setup_s":
-                worst = max(worst, ratio)
-            print(f"  {name:16s} {s['median']:12.6g} {s['iqr']:12.6g} "
-                  f"{s['rel_iqr']:8.3f} {bounds[name]:6.2f} {ratio:12.2f}")
-    print(f"worst spread/bound (setup_s excluded): {worst:.2f} "
-          f"(target < 0.33, gate <= 1.00)")
+            worst = max(worst, ratio)
+            line = (f"  {name:16s} {s['median']:12.6g} {s['iqr']:12.6g} "
+                    f"{s['rel_iqr']:8.3f} {bounds[name]:6.2f} {ratio:12.2f}")
+            before = earlier.get(workload, {}).get(name)
+            if before:
+                was = helpers.median(before)
+                worse = (s["median"] - was) / was
+                worse = (worse if lower[name] else -worse) / bounds[name]
+                worst_drift = max(worst_drift, worse)
+                line += f" {worse:11.2f}"
+            print(line)
+    print(f"worst spread/bound: {worst:.2f} (target < 0.33, gate <= 1.00)")
+    if earlier:
+        print(f"worst median change against the earlier set, share of "
+              f"bound: {worst_drift:.2f} (gate <= 1.00)")
     if args.output:
         Path(args.output).write_text(json.dumps(raw, indent=1))
     return 0

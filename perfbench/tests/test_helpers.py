@@ -189,3 +189,33 @@ def test_mismatches_count_changed_missing_and_extra_blocks():
     assert helpers.count_mismatches(["a", "x", "c"], ["a", "b", "c"]) == 1
     assert helpers.count_mismatches(["a"], ["a", "b", "c"]) == 2
     assert helpers.count_mismatches(["a", "b", "c", "d"], ["a", "b"]) == 2
+
+
+# -- traced counters across fork ----------------------------------------------
+
+
+def test_forked_worker_reports_only_its_own_pipeline_counts(tmp_path):
+    import os
+    import types
+
+    import tracer
+
+    rec = tracer._Recorder(tmp_path)
+    pipeline = types.SimpleNamespace(stats={"prefix_builds": 3})
+    rec.pipelines.append(pipeline)
+    pid = os.fork()
+    if pid == 0:  # the worker inherits the pipeline with its 3 builds
+        try:
+            rec.after_fork()
+            pipeline.stats["prefix_builds"] += 2
+            rec.snapshot()
+        finally:
+            os._exit(0)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    rec.snapshot()
+    spans, snaps = tracer.load(tmp_path)
+    assert snaps == {os.getpid(): {"prefix_builds": 3},
+                     pid: {"prefix_builds": 2}}
+    metrics = tracer.layer_metrics(spans, snaps, jobs=1)
+    assert metrics["pipeline.prefix_builds"] == (5, "count")

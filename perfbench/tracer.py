@@ -125,6 +125,9 @@ class _Recorder:
         self.local = threading.local()
         self.lock = threading.Lock()
         self.pipelines: List[Any] = []
+        #: ``id(pipeline) -> stats`` as inherited at fork; a process
+        #: reports only the counts it added itself.
+        self.baseline: Dict[int, Dict[str, Any]] = {}
 
     def stack(self) -> List[Tuple[str, str]]:
         stack = getattr(self.local, "stack", None)
@@ -137,6 +140,11 @@ class _Recorder:
         self.pid = -1
         self.handle = None
         self.lock = threading.Lock()
+        # Pipelines built before the fork carry the parent's counts,
+        # which the parent reports itself.
+        self.baseline = {
+            id(p): dict(getattr(p, "stats", {})) for p in self.pipelines
+        }
 
     def write(self, record: Dict[str, Any]) -> None:
         with self.lock:
@@ -153,8 +161,9 @@ class _Recorder:
     def snapshot(self) -> None:
         totals: Dict[str, int] = {}
         for pipeline in self.pipelines:
+            base = self.baseline.get(id(pipeline), {})
             for key, value in getattr(pipeline, "stats", {}).items():
-                totals[key] = totals.get(key, 0) + value
+                totals[key] = totals.get(key, 0) + value - base.get(key, 0)
         self.write({"snap": totals, "pid": os.getpid()})
 
 
