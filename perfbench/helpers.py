@@ -1,6 +1,7 @@
 """Pure helpers of the end-to-end benchmark: order statistics, the
-open-loop latency accounting, the ``max_rps`` ladder, span self time and
-the output normalisation used by the correctness checks.
+host-speed probe, the open-loop latency accounting, the ``max_rps``
+ladder, span self time and the output normalisation used by the
+correctness checks.
 
 Nothing here imports the program under test, so a change to ``src/``
 cannot change how the benchmark computes its numbers.
@@ -11,6 +12,7 @@ from __future__ import annotations
 import math
 import re
 import statistics
+import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -73,6 +75,35 @@ def spread(values: Sequence[float]) -> Dict[str, float]:
         "iqr": q3 - q1,
         "rel_iqr": (q3 - q1) / med if med else float("inf"),
     }
+
+
+# -- host speed ---------------------------------------------------------------
+
+#: Iterations of :func:`speed_probe`'s loop, and the loop's time on the
+#: 2-vCPU KVM guest the benchmark was tuned on (Python 3.11) in its fast
+#: state. Times normalised by the probe are seconds at that speed.
+PROBE_LOOPS = 40000
+REFERENCE_PROBE_S = 0.0025
+
+
+def speed_probe() -> float:
+    """Seconds a fixed pure-Python loop takes now on this CPU (2.5 ms
+    on the tuning host at full speed)."""
+    start = time.perf_counter()
+    total = 0
+    for i in range(PROBE_LOOPS):
+        total += i * i % 7
+    return time.perf_counter() - start
+
+
+def speed_factor(probes: Sequence[float]) -> float:
+    """Mean speed of the host relative to the reference over a piece of
+    work, from the :func:`speed_probe` times taken during it; 1.0 when
+    there are none. A time multiplied by it is in seconds at the
+    reference speed."""
+    if not probes:
+        return 1.0
+    return statistics.mean(REFERENCE_PROBE_S / p for p in probes)
 
 
 # -- open-loop accounting -----------------------------------------------------

@@ -33,6 +33,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -103,13 +104,15 @@ def nproc() -> int:
 @dataclass
 class Env:
     """Where a run keeps its caches, sockets and spans (all relative to
-    the checkout root, the children's working directory)."""
+    the checkout root, the children's working directory). ``probe``
+    makes measured children probe the host's speed."""
 
     work: Path
     seed: int
     seconds: float
     trace_dir: Optional[Path] = None
     jobs: int = field(default_factory=nproc)
+    probe: bool = True
 
     def child_env(self) -> Dict[str, str]:
         env = dict(os.environ)
@@ -119,34 +122,56 @@ class Env:
         )
         return env
 
-    def argv(self, *args: str, traced: bool = True) -> List[str]:
+    def argv(self, *args: str, traced: bool = True,
+             probe_dir: Optional[str] = None) -> List[str]:
         cmd = [sys.executable, str(HERE / "child.py")]
         if traced and self.trace_dir is not None:
             cmd += ["--trace", str(self.trace_dir)]
+        if probe_dir is not None:
+            cmd += ["--probe-dir", probe_dir]
         return cmd + list(args)
 
 
+@dataclass
+class ChildRun:
+    """One finished child: wall time and time until it printed ``READY``
+    (None if it did not), in seconds since it was spawned, exit status,
+    and the speed probes its processes took."""
+
+    wall: float
+    rc: int
+    ready: Optional[float]
+    probes: List[float]
+
+    def normalized(self, seconds: Optional[float] = None) -> float:
+        """``seconds`` (default: the wall time) at the reference host
+        speed; plain seconds when the child took no probes."""
+        return (self.wall if seconds is None else seconds) \
+            * helpers.speed_factor(self.probes)
+
+
 def run_child(
-    env: Env, args: List[str], traced: bool = True, wait_ready: bool = False,
+    env: Env, args: List[str], traced: bool = True,
     stderr_path: Optional[Path] = None, timeout: float = 150.0,
-) -> Tuple[float, Optional[float], int]:
-    """Run one child to completion: ``(wall_s, ready_s, returncode)``;
-    ``ready_s`` is the time until the child printed ``READY``."""
+) -> ChildRun:
+    """Run one measured child to completion, noting when it prints
+    ``READY`` and, when ``env.probe`` is set, collecting its speed
+    probes."""
+    probe_dir = tempfile.mkdtemp(prefix="probes-", dir=env.work) \
+        if env.probe else None
     start = time.perf_counter()
     err = open(stderr_path, "w") if stderr_path else subprocess.DEVNULL
     try:
         proc = subprocess.Popen(
-            env.argv(*args, traced=traced), env=env.child_env(),
-            stdout=subprocess.PIPE, stderr=err, text=True,
+            env.argv(*args, traced=traced, probe_dir=probe_dir),
+            env=env.child_env(), stdout=subprocess.PIPE, stderr=err,
+            text=True,
         )
         ready = None
         try:
-            if wait_ready:
-                for line in proc.stdout:
-                    if line.strip() == "READY":
-                        ready = time.perf_counter() - start
-                        break
-            proc.stdout.read()
+            for line in proc.stdout:
+                if line.strip() == "READY":
+                    ready = time.perf_counter() - start
             rc = proc.wait(timeout=timeout)
         except BaseException:
             proc.kill()
@@ -157,7 +182,13 @@ def run_child(
     finally:
         if stderr_path:
             err.close()
-    return time.perf_counter() - start, ready, rc
+    wall = time.perf_counter() - start
+    probes: List[float] = []
+    if probe_dir is not None:
+        for path in sorted(Path(probe_dir).iterdir()):
+            probes += [float(x) for x in path.read_text().split()]
+        shutil.rmtree(probe_dir)
+    return ChildRun(wall, rc, ready, probes)
 
 
 def dir_mb(path: Path) -> float:
@@ -474,44 +505,39 @@ def serve_layer(stats: Optional[Dict[str, Any]], values: Dict[str, float]
 
 def setup_batch(env: Env, res: Result) -> None:
     """One ``setup_s`` sample: the mean time from a fresh process until
-    its context is built, over :data:`SETUP_BATCH` launches in a row.
-
-    The host's CPUs switch between a fast and a slow state every second
-    or so, and one launch is shorter than that, so single launches fall
-    into two clusters and their median jumps between them. A batch
-    spans a few switches."""
-    times = []
+    its context is built, at the reference host speed, over
+    :data:`SETUP_BATCH` launches in a row."""
+    times, walls = [], []
     for _ in range(SETUP_BATCH):
-        _, ready, rc = run_child(env, ["ready", "--seed", str(env.seed)],
-                                 wait_ready=True, traced=False)
-        res.op(rc == 0 and ready is not None, "setup launch")
-        if ready is not None:
-            times.append(ready)
+        run = run_child(env, ["ready", "--seed", str(env.seed)],
+                        traced=False)
+        res.op(run.rc == 0 and run.ready is not None, "setup launch")
+        if run.ready is not None:
+            times.append(run.normalized(run.ready))
+            walls.append(run.ready)
     if times:
         res.add("setup_s", sum(times) / len(times))
+        res.add("wall.setup_s", sum(walls) / len(walls))
 
 
-def paper_pass(env: Env, cache: Path, out: Path) -> Tuple[float, int]:
-    wall, _, rc = run_child(
+def paper_pass(env: Env, cache: Path, out: Path) -> ChildRun:
+    return run_child(
         env, ["paper", "--seed", str(env.seed), "--cache", str(cache),
-              "--out", str(out)], wait_ready=True,
-        stderr_path=out.with_suffix(".err"),
+              "--out", str(out)], stderr_path=out.with_suffix(".err"),
     )
-    return wall, rc
 
 
 def sweep_grid(seed: int) -> str:
     return json.dumps(dict(SWEEP_GRID, seed_base=seed))
 
 
-def sweep_pass(env: Env, cache: Path, out: Path) -> Tuple[float, int]:
-    wall, _, rc = run_child(
+def sweep_pass(env: Env, cache: Path, out: Path) -> ChildRun:
+    return run_child(
         env, ["cli", "--", "sweep", "--grid", sweep_grid(env.seed), "--fast",
               "-j", str(env.jobs), "--cache-dir", str(cache),
               "--csv", str(out), "-o", str(out.with_suffix(".txt"))],
         stderr_path=out.with_suffix(".err"),
     )
-    return wall, rc
 
 
 def paper_blocks(path: Path) -> List[str]:
@@ -543,13 +569,14 @@ def sweep_cells() -> List[Dict[str, Any]]:
 
 
 def batch_workload(env: Env, res: Result, kind: str) -> None:
-    """Rounds of one cold pass and :data:`WARM_PASSES` warm passes, each
-    pass preceded by a set-up launch, until the round budget is spent.
+    """Rounds of a set-up batch, one cold pass and :data:`WARM_PASSES`
+    warm passes, until the round budget is spent.
 
     Every metric thus takes its samples across the whole run rather than
-    one stretch of it: the host's speed drifts over seconds to minutes,
-    and a median over samples spread in time follows its typical speed.
-    sweep-ladder then serves its grid's cells from the warm cache.
+    one stretch of it. A pass's time is its wall time at the reference
+    host speed, measured by the speed probes of its processes; the plain
+    wall time is kept beside it as ``wall.<metric>``. sweep-ladder then
+    serves its grid's cells from the warm cache.
     """
     run_pass = paper_pass if kind == "paper-fast" else sweep_pass
     suffix = ".txt" if kind == "paper-fast" else ".csv"
@@ -568,9 +595,10 @@ def batch_workload(env: Env, res: Result, kind: str) -> None:
         setup_batch(env, res)
         for phase in ["cold"] + ["warm"] * WARM_PASSES[kind]:
             out = env.work / f"{phase}-{i}{suffix}"
-            wall, rc = run_pass(env, cache, out)
-            res.add(f"{phase}_s", wall)
-            ok = rc == 0 and out.exists()
+            run = run_pass(env, cache, out)
+            res.add(f"{phase}_s", run.normalized())
+            res.add(f"wall.{phase}_s", run.wall)
+            ok = run.rc == 0 and out.exists()
             got = read(out) if ok else []
             if kind == "sweep-ladder" and ok:
                 res.failed += sweep_failed_cells(out.with_suffix(".err"))
@@ -595,7 +623,8 @@ def batch_workload(env: Env, res: Result, kind: str) -> None:
     # Set-up batches are short: the time no full round fits in goes to
     # more of them.
     while env.trace_dir is None and time.perf_counter() - started \
-            + SETUP_BATCH * helpers.median(res.samples["setup_s"]) < budget:
+            + SETUP_BATCH * helpers.median(res.samples["wall.setup_s"]) \
+            < budget:
         setup_batch(env, res)
     res.values["peak_rss_mb"] = peak_rss_mb()
     if kind != "sweep-ladder":
@@ -630,11 +659,13 @@ def run_workload(name: str, env: Env) -> Result:
 def traced_run(name: str, env: Env) -> Result:
     """One untraced cold pass for the overhead baseline, then the whole
     workload under the timing wrappers."""
-    base = Env(env.work / "untraced", env.seed, env.seconds)
+    base = Env(env.work / "untraced", env.seed, env.seconds, probe=False)
     base.work.mkdir(parents=True)
     run_pass = paper_pass if name == "paper-fast" else sweep_pass
-    plain_cold, _ = run_pass(base, base.work / "cache", base.work / "cold.out")
+    plain_cold = run_pass(base, base.work / "cache",
+                          base.work / "cold.out").wall
     env.trace_dir = env.work / "spans"
+    env.probe = False
     res = run_workload(name, env)
     spans, snaps = tracer.load(env.trace_dir)
     res.layer = tracer.layer_metrics(spans, snaps, env.jobs)
@@ -644,7 +675,7 @@ def traced_run(name: str, env: Env) -> Result:
     res.layer.update(serve_layer(res.values.get("server_stats"),
                                  res.values))
     res.layer["trace.overhead_s"] = (
-        res.samples["cold_s"][0] - plain_cold, "s"
+        res.samples["wall.cold_s"][0] - plain_cold, "s"
     )
     trace_file = env.work / "trace.json"
     trace_file.write_text(json.dumps(tracer.chrome_trace(spans)))
@@ -716,6 +747,11 @@ def main(argv=None) -> int:
         extra = f"  (n={count})" if count else ""
         print(f"{args.workload:13s} {name:28s} {m['value']:14.6g} "
               f"{m['unit']}{extra}")
+    for name in ("setup_s", "cold_s", "warm_s"):
+        if not args.trace and f"wall.{name}" in res.values:
+            print(f"{args.workload:13s} {'wall.' + name:28s} "
+                  f"{res.values['wall.' + name]:14.6g} s  "
+                  f"(plain wall time, not speed-normalised)")
     print(f"{args.workload:13s} {'fail_ratio':28s} "
           f"{record['fail_ratio']:14.6g} ratio  "
           f"({res.failed}/{res.attempted})")

@@ -5,6 +5,7 @@
 
 import dataclasses
 import math
+import subprocess
 import sys
 from pathlib import Path
 
@@ -12,6 +13,48 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 import helpers  # noqa: E402
 from helpers import Sample  # noqa: E402
+
+
+# -- host-speed normalisation -------------------------------------------------
+
+
+def test_speed_factor_is_the_mean_relative_speed():
+    ref = helpers.REFERENCE_PROBE_S
+    assert helpers.speed_factor([ref, 2 * ref]) == 0.75
+    assert helpers.speed_factor([]) == 1.0
+
+
+def test_speed_probe_takes_measurable_time():
+    assert 0.0 < helpers.speed_probe() < 1.0
+
+
+def test_probe_timer_rearms_in_forked_children_and_exits_cleanly(tmp_path):
+    script = f"""
+import os, sys, time
+sys.path.insert(0, {str(Path(__file__).resolve().parents[1])!r})
+import child
+
+def busy(seconds):
+    end = time.process_time() + seconds
+    while time.process_time() < end:
+        pass
+
+child.start_probes({str(tmp_path)!r})
+pid = os.fork()
+if pid == 0:
+    busy(0.5)
+    os._exit(0)
+busy(0.5)
+os.waitpid(pid, 0)
+child.stop_probes()
+"""
+    proc = subprocess.run([sys.executable, "-c", script], timeout=60)
+    assert proc.returncode == 0
+    files = sorted(tmp_path.iterdir())
+    assert len(files) == 2  # the parent's and the forked child's
+    for path in files:
+        probes = [float(x) for x in path.read_text().split()]
+        assert len(probes) >= 2 and all(0.0 < p < 1.0 for p in probes)
 
 
 # -- percentile and sample-count rule ----------------------------------------
