@@ -11,11 +11,10 @@ overhead reduction the stock transient defenses get.
 Run:  python examples/custom_defense.py
 """
 
-import copy
-
 from repro import PibeConfig, PibePipeline, build_kernel
 from repro.core.report import build_overhead_report
 from repro.cpu.attacks import attack_surface
+from repro.hardening.classes import LVI, RET2SPEC, SPECTRE_V2
 from repro.hardening.custom import (
     CustomDefense,
     CustomHardeningPass,
@@ -30,7 +29,7 @@ PSCFI_FWD = CustomDefense(
     kind="forward",
     cycles=35.0,
     site_expansion_units=4,
-    protects=frozenset({"spectre_v2", "lvi"}),
+    protects=frozenset({SPECTRE_V2, LVI}),
 )
 #: Backward edge: hash verification against the shadow path state.
 PSCFI_RET = CustomDefense(
@@ -38,7 +37,7 @@ PSCFI_RET = CustomDefense(
     kind="backward",
     cycles=28.0,
     site_expansion_units=4,
-    protects=frozenset({"ret2spec", "lvi"}),
+    protects=frozenset({RET2SPEC, LVI}),
 )
 
 
@@ -63,8 +62,11 @@ def main():
     lto = pipeline.build_variant(PibeConfig.lto_baseline())
     optimized = pipeline.build_variant(PibeConfig.pibe_baseline(), profile)
 
-    unopt_image = copy.deepcopy(lto.module)
-    opt_image = copy.deepcopy(optimized.module)
+    # The custom pass stamps copy-on-write: hardening a fresh staged
+    # variant leaves ``lto.module`` (and the pipeline's cached prefix)
+    # untagged, so it still serves as the measurement baseline.
+    unopt_image = pipeline.build_variant(PibeConfig.lto_baseline()).module
+    opt_image = optimized.module
     CustomHardeningPass(forward=PSCFI_FWD, backward=PSCFI_RET).run(unopt_image)
     CustomHardeningPass(forward=PSCFI_FWD, backward=PSCFI_RET).run(opt_image)
 

@@ -7,9 +7,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.hardening.defenses import LVI_SAFE, RSB_SAFE, SPECTRE_V2_SAFE
+from repro.hardening.classes import LVI, RET2SPEC, SPECTRE_V2, protects
+from repro.hardening.coverage import boot_only
 from repro.ir.module import Module
-from repro.ir.types import FunctionAttr, Opcode
+from repro.ir.types import Opcode
 from repro.passes.icp import ICPReport
 from repro.passes.inliner import InlineReport
 from repro.profiling.profile_data import EdgeProfile
@@ -128,42 +129,41 @@ class ForwardEdgeCensus:
 
 def forward_edge_census(module: Module) -> ForwardEdgeCensus:
     """Count protected vs Spectre-V2/LVI-vulnerable forward edges in a
-    hardened image (boot-only code exempt, as in the paper)."""
+    hardened image (boot-only code exempt, as in the paper). A tag's
+    protection comes from the one table in :mod:`repro.hardening.classes`:
+    an icall is defended when its tag closes both Spectre V2 and LVI, an
+    ijump when it closes Spectre V2."""
     census = ForwardEdgeCensus()
     for func in module:
-        boot_only = func.has_attr(FunctionAttr.BOOT_ONLY)
+        boot = boot_only(func)
         for inst in func.instructions():
+            tag = inst.defense
             if inst.opcode == Opcode.ICALL:
-                tag = inst.defense
-                if tag is not None and tag in SPECTRE_V2_SAFE and tag in LVI_SAFE:
+                if protects(tag, SPECTRE_V2) and protects(tag, LVI):
                     census.defended_icalls += 1
-                elif boot_only:
-                    continue
-                else:
+                elif not boot:
                     census.vulnerable_icalls += 1
             elif inst.opcode == Opcode.IJUMP:
-                tag = inst.defense
-                if tag is not None and tag in SPECTRE_V2_SAFE:
+                if protects(tag, SPECTRE_V2):
                     census.defended_ijumps += 1
-                elif boot_only:
-                    continue
-                else:
+                elif not boot:
                     census.vulnerable_ijumps += 1
     return census
 
 
 def backward_edge_census(module: Module) -> Dict[str, int]:
     """Return-instruction protection census (Section 8.6's claim that all
-    non-boot returns end up protected)."""
+    non-boot returns end up protected): a return is protected when its
+    tag closes Ret2spec."""
     result = {"protected": 0, "vulnerable": 0, "boot_only": 0}
     for func in module:
-        boot_only = func.has_attr(FunctionAttr.BOOT_ONLY)
+        boot = boot_only(func)
         for inst in func.instructions():
             if inst.opcode != Opcode.RET:
                 continue
-            if boot_only:
+            if boot:
                 result["boot_only"] += 1
-            elif inst.defense is not None and inst.defense in RSB_SAFE:
+            elif protects(inst.defense, RET2SPEC):
                 result["protected"] += 1
             else:
                 result["vulnerable"] += 1

@@ -16,7 +16,9 @@ Three adversaries, one per microarchitectural vector:
 
 Each attack exposes a static census (``hijackable_sites``) used by the
 security evaluation, and a dynamic ``attempt`` that walks the predictor
-models end-to-end for demos and tests.
+models end-to-end for demos and tests. Both read a tag's protection
+from the one table in :mod:`repro.hardening.classes` and skip boot-only
+code, exactly as the Table 11 census and the ``PIBE5xx`` lint do.
 """
 
 from __future__ import annotations
@@ -27,10 +29,11 @@ from typing import List, Optional, Tuple
 from repro.cpu.btb import BTB
 from repro.cpu.mob import MOB
 from repro.cpu.rsb import RSB
-from repro.hardening.defenses import LVI_SAFE, RSB_SAFE, SPECTRE_V2_SAFE
+from repro.hardening.classes import LVI, RET2SPEC, SPECTRE_V2, protects
+from repro.hardening.coverage import boot_only
 from repro.ir.instruction import Instruction
 from repro.ir.module import Module
-from repro.ir.types import FunctionAttr, Opcode
+from repro.ir.types import Opcode
 
 #: Name used for the attacker's landing gadget in simulations.
 ATTACKER_GADGET = "__attacker_gadget"
@@ -52,17 +55,13 @@ class TransientAttack:
     """Shared census machinery."""
 
     vector = "abstract"
-    safe_tags = frozenset()
     victim_opcodes = frozenset()
-
-    def _boot_exempt(self, func) -> bool:
-        return func.has_attr(FunctionAttr.BOOT_ONLY)
 
     def hijackable_sites(self, module: Module) -> List[Tuple[str, Instruction]]:
         """Static census: (function, instruction) pairs this vector can steer."""
         result: List[Tuple[str, Instruction]] = []
         for func in module:
-            if self._boot_exempt(func):
+            if boot_only(func):
                 continue
             for inst in func.instructions():
                 if self.is_vulnerable(inst):
@@ -70,23 +69,15 @@ class TransientAttack:
         return result
 
     def is_vulnerable(self, inst: Instruction) -> bool:
-        if inst.opcode not in self.victim_opcodes:
-            return False
-        tag = inst.defense
-        if tag is None:
-            return True
-        if tag in self.safe_tags:
-            return False
-        from repro.hardening.custom import custom_tag_protects
-
-        return not custom_tag_protects(tag, self.vector)
+        return inst.opcode in self.victim_opcodes and not protects(
+            inst.defense, self.vector
+        )
 
 
 class SpectreV2Attack(TransientAttack):
     """BTB poisoning against indirect calls and jumps."""
 
-    vector = "spectre_v2"
-    safe_tags = SPECTRE_V2_SAFE
+    vector = SPECTRE_V2
     victim_opcodes = frozenset({Opcode.ICALL, Opcode.IJUMP})
 
     def attempt(
@@ -121,8 +112,7 @@ class SpectreV2Attack(TransientAttack):
 class Ret2specAttack(TransientAttack):
     """RSB poisoning against return instructions."""
 
-    vector = "ret2spec"
-    safe_tags = RSB_SAFE
+    vector = RET2SPEC
     victim_opcodes = frozenset({Opcode.RET})
 
     def attempt(
@@ -166,8 +156,7 @@ class Ret2specAttack(TransientAttack):
 class LVIAttack(TransientAttack):
     """Load Value Injection against indirect-branch target loads."""
 
-    vector = "lvi"
-    safe_tags = LVI_SAFE
+    vector = LVI
     victim_opcodes = frozenset({Opcode.ICALL, Opcode.RET, Opcode.IJUMP})
 
     def attempt(

@@ -38,7 +38,7 @@ from concurrent.futures import (
 )
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import faults
 
@@ -290,7 +290,8 @@ class EvalContext:
         cache (it is the hand-back channel) and ``jobs > 1``; otherwise
         a no-op — prefixes then build lazily inline, exactly as before.
         Worker failures are absorbed: an unwarmed prefix just builds
-        inline later.
+        inline later. A slice still running ``cell_timeout`` seconds
+        after dispatch counts as lost the same way.
         """
         global _WORKER_CTX
         self._check_open()
@@ -357,18 +358,8 @@ class EvalContext:
             pool.submit(_prewarm_prefix_cell, (chunk, workload_name))
             for chunk in slices
         ]
-        warmed = 0
-        broken = False
-        for fut in futures:
-            try:
-                warmed += fut.result()
-            except BrokenExecutor:
-                broken = True
-            except Exception:  # noqa: BLE001 — cold build happens inline
-                pass
-        if broken:
-            self._replace_pool(plan, kill=True)
-        return warmed
+        # A lost slice is absorbed: its prefixes build inline later.
+        return sum(n for n in self._gather(futures, plan) if n is not None)
 
     # -- lint ---------------------------------------------------------------
 
@@ -423,9 +414,9 @@ class EvalContext:
         Workers resolve the variant through their own (fork-inherited or
         rebuilt) context — deterministic build ids make the module, and
         therefore every site id in the diagnostics, bit-identical to the
-        parent's.  A shard whose future is lost comes back ``None`` and
-        the incremental engine recomputes it inline; a broken pool is
-        replaced so later batches start healthy.
+        parent's.  A shard whose future is lost (a crash, or still
+        running ``cell_timeout`` seconds after dispatch) comes back
+        ``None`` and the incremental engine recomputes it inline.
         """
 
         def mapper(shards):
@@ -444,24 +435,42 @@ class EvalContext:
                 )
                 for shard in shards
             ]
-            results = []
-            broken = False
-            for fut in futures:
-                try:
-                    results.append(fut.result())
-                except BrokenExecutor:
-                    results.append(None)
-                    broken = True
-                except Exception:  # noqa: BLE001 — recomputed inline
-                    results.append(None)
-            if broken:
-                self._replace_pool(plan, kill=True)
-            return results
+            return self._gather(futures, plan)
 
         return mapper
 
     def _max_jobs(self) -> int:
         return max(self.settings.jobs, 1)
+
+    def _gather(
+        self, futures: List[Future], plan: Optional["faults.FaultPlan"]
+    ) -> List[Optional[Any]]:
+        """Results of one batch of pool futures, in submission order;
+        ``None`` marks a lost cell.
+
+        The wait is bounded by ``cell_timeout`` from submission, the
+        deadline :meth:`measure_many` gives each cell. Cells still
+        running then are lost, and the pool is killed and rebuilt: a
+        hung worker never frees its slot otherwise. A broken pool is
+        rebuilt too, so later batches start healthy.
+        """
+        _, unfinished = wait(futures, timeout=self.settings.cell_timeout)
+        results: List[Optional[Any]] = []
+        broken = False
+        for fut in futures:
+            if fut in unfinished:
+                results.append(None)
+                continue
+            try:
+                results.append(fut.result())
+            except BrokenExecutor:
+                results.append(None)
+                broken = True
+            except Exception:  # noqa: BLE001 — the caller redoes it inline
+                results.append(None)
+        if unfinished or broken:
+            self._replace_pool(plan, kill=True)
+        return results
 
     # -- measurements -------------------------------------------------------------
 

@@ -8,14 +8,7 @@ from repro.hardening.custom import (
     register_defense,
     registered_defense,
 )
-from repro.hardening.defenses import (
-    Defense,
-    DefenseConfig,
-    LVI_SAFE,
-    NonTransientDefense,
-    RSB_SAFE,
-    SPECTRE_V2_SAFE,
-)
+from repro.hardening.defenses import Defense, DefenseConfig, NonTransientDefense
 from repro.hardening.harden import (
     HardenReport,
     HardeningPass,
@@ -39,13 +32,10 @@ __all__ = [
     "DefenseConfig",
     "HardenReport",
     "HardeningPass",
-    "LVI_SAFE",
     "METADATA_KEY",
     "NonTransientDefense",
-    "RSB_SAFE",
     "SITE_EXPANSION_UNITS",
     "SITE_SEQUENCES",
-    "SPECTRE_V2_SAFE",
     "THUNK_BODIES",
     "THUNK_UNITS",
     "applied_config",

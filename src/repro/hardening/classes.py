@@ -1,29 +1,32 @@
-"""Data-driven speculation-defense protection classes.
+"""The protection table: which attack vectors each defense tag closes.
 
-The speculation-coverage rule used to hard-code the mapping from defense
-tags to the protection classes of the paper's taxonomy (``SPECTRE_V2_SAFE``
-/ ``RSB_SAFE`` / ``LVI_SAFE`` frozensets consulted through an if/elif
-ladder).  That made every new hardening backend — FineIBT, PAC-based
-kernel CFI — a rule edit.  This module turns the table into a registry
-keyed by defense tag:
+One table answers "is this site protected against vector V" for every
+consumer: the Table 11 census
+(:func:`~repro.analysis.gadgets.forward_edge_census`,
+:func:`~repro.analysis.gadgets.backward_edge_census`), the attack census
+(:meth:`~repro.cpu.attacks.TransientAttack.is_vulnerable`) and the
+speculation-coverage lint (``PIBE5xx``).  It holds three kinds of tag:
 
-- the stock :class:`~repro.hardening.defenses.Defense` tags are seeded
-  from the same frozensets, so checker and lowering cannot drift;
-- a new backend calls :func:`register_defense_classes` with the attack
-  vectors its tag closes, and the speculation rule accepts the tag as an
-  alternative lowering wherever it covers every class the config
-  promises — no rule edit required;
-- :func:`registry_snapshot` is stable, canonical key material for the
-  incremental-lint cache (a registry change must invalidate cached
-  speculation diagnostics).
+- the stock :class:`~repro.hardening.defenses.Defense` tags, seeded from
+  the lowering's own ``*_SAFE`` frozensets so checker and code cannot
+  drift; they cannot be re-mapped;
+- extension tags of new hardening backends (FineIBT, PAC-based kernel
+  CFI), entered by :func:`register_defense_classes`; the lint accepts
+  one in place of the stock tag wherever it covers every class the
+  config promises;
+- custom-defense tags, entered by
+  :func:`repro.hardening.custom.register_defense` from their
+  ``CustomDefense.protects``.
 
-Class names intentionally match the ``protects`` vocabulary of
-:mod:`repro.hardening.custom` (``spectre_v2`` / ``ret2spec`` / ``lvi``).
+A tag has exactly one kind: a name registered as an extension tag cannot
+also be a custom defense, and the reverse.  :func:`registry_snapshot` is
+canonical key material for the incremental-lint cache (a table change
+must invalidate cached speculation diagnostics).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.hardening.defenses import (
     LVI_SAFE,
@@ -42,32 +45,29 @@ LVI = "lvi"
 
 KNOWN_CLASSES = frozenset({SPECTRE_V2, RET2SPEC, LVI})
 
-
-def _seed_builtin() -> Dict[str, FrozenSet[str]]:
-    classes: Dict[str, set] = {}
-    for tag in SPECTRE_V2_SAFE:
-        classes.setdefault(tag, set()).add(SPECTRE_V2)
-    for tag in RSB_SAFE:
-        classes.setdefault(tag, set()).add(RET2SPEC)
-    for tag in LVI_SAFE:
-        classes.setdefault(tag, set()).add(LVI)
-    return {tag: frozenset(protects) for tag, protects in classes.items()}
+#: Tag kinds (see the module docstring).
+STOCK = "stock"
+EXTENSION = "extension"
+CUSTOM = "custom"
 
 
-#: Stock tag -> protection classes, derived from the defense frozensets.
-_BUILTIN: Dict[str, FrozenSet[str]] = _seed_builtin()
-#: Backend extension tags registered at runtime.
-_EXTRA: Dict[str, FrozenSet[str]] = {}
+_SAFE_SETS = {SPECTRE_V2: SPECTRE_V2_SAFE, RET2SPEC: RSB_SAFE, LVI: LVI_SAFE}
+
+#: Tag -> (kind, protection classes), seeded with the stock tags.
+_TABLE: Dict[str, Tuple[str, FrozenSet[str]]] = {
+    tag: (STOCK, frozenset(v for v, safe in _SAFE_SETS.items() if tag in safe))
+    for tag in frozenset().union(*_SAFE_SETS.values())
+}
 
 
-def register_defense_classes(tag: str, protects: Iterable[str]) -> None:
-    """Register (or update) an extension defense tag's protection classes.
-
-    Stock tags are immutable — their classes come from the lowering's own
-    frozensets and re-mapping them would let checker and code drift.
-    """
-    if tag in _BUILTIN:
+def _register(tag: str, protects: Iterable[str], kind: str) -> None:
+    existing = _TABLE.get(tag)
+    if existing is not None and existing[0] == STOCK:
         raise ValueError(f"stock defense tag {tag!r} cannot be re-mapped")
+    if existing is not None and existing[0] != kind:
+        raise ValueError(
+            f"defense tag {tag!r} is already registered ({existing[0]})"
+        )
     protects = frozenset(protects)
     unknown = protects - KNOWN_CLASSES
     if unknown:
@@ -75,38 +75,52 @@ def register_defense_classes(tag: str, protects: Iterable[str]) -> None:
             f"unknown protection class(es) {sorted(unknown)} for tag "
             f"{tag!r}; known: {sorted(KNOWN_CLASSES)}"
         )
-    _EXTRA[tag] = protects
+    _TABLE[tag] = (kind, protects)
 
 
-def unregister_defense_classes(tag: str) -> None:
-    """Remove an extension tag (stock tags cannot be removed)."""
-    _EXTRA.pop(tag, None)
+def _clear(kind: str) -> None:
+    for tag in [t for t, (k, _) in _TABLE.items() if k == kind]:
+        del _TABLE[tag]
+
+
+def register_defense_classes(tag: str, protects: Iterable[str]) -> None:
+    """Register (or update) an extension defense tag's protection classes.
+
+    Stock tags are immutable: their classes come from the lowering's own
+    frozensets, and re-mapping them would let checker and code drift.
+    """
+    _register(tag, protects, EXTENSION)
+
+
+def register_custom_classes(tag: str, protects: Iterable[str]) -> None:
+    """Enter a custom defense's tag (called by ``register_defense``)."""
+    _register(tag, protects, CUSTOM)
 
 
 def clear_extension_classes() -> None:
     """Drop every runtime-registered extension tag (test hygiene)."""
-    _EXTRA.clear()
+    _clear(EXTENSION)
 
 
-def is_class_registered(tag: str) -> bool:
-    """Whether ``tag`` appears in the registry (stock or extension)."""
-    return tag in _BUILTIN or tag in _EXTRA
+def clear_custom_classes() -> None:
+    """Drop every custom-defense tag (called by ``clear_registry``)."""
+    _clear(CUSTOM)
 
 
-def defense_classes(tag: str) -> FrozenSet[str]:
-    """Protection classes ``tag`` provides (empty for unknown tags)."""
-    if tag in _EXTRA:
-        return _EXTRA[tag]
-    return _BUILTIN.get(tag, frozenset())
+def tag_kind(tag: Optional[str]) -> Optional[str]:
+    """:data:`STOCK`, :data:`EXTENSION` or :data:`CUSTOM`; ``None`` for
+    an unknown tag (or no tag)."""
+    entry = _TABLE.get(tag)
+    return entry[0] if entry is not None else None
 
 
-def tags_for_class(cls: str) -> FrozenSet[str]:
-    """Every registered tag that protects ``cls``."""
-    return frozenset(
-        tag
-        for tag, protects in {**_BUILTIN, **_EXTRA}.items()
-        if cls in protects
-    )
+def protects(tag: Optional[str], vector: str) -> bool:
+    """Whether a branch lowered with ``tag`` is closed against ``vector``.
+
+    An untagged branch (``None``) and an unknown tag protect nothing.
+    """
+    entry = _TABLE.get(tag)
+    return entry is not None and vector in entry[1]
 
 
 def required_classes(opcode: Opcode, config: DefenseConfig) -> List[str]:
@@ -129,10 +143,9 @@ def required_classes(opcode: Opcode, config: DefenseConfig) -> List[str]:
     return required
 
 
-def registry_snapshot() -> Tuple[Tuple[str, Tuple[str, ...]], ...]:
-    """Canonical, sorted (tag, classes) pairs — cache-key material."""
-    merged = {**_BUILTIN, **_EXTRA}
+def registry_snapshot() -> Tuple[Tuple[str, str, Tuple[str, ...]], ...]:
+    """Canonical, sorted (tag, kind, classes) triples: cache-key material."""
     return tuple(
-        (tag, tuple(sorted(protects)))
-        for tag, protects in sorted(merged.items())
+        (tag, kind, tuple(sorted(classes)))
+        for tag, (kind, classes) in sorted(_TABLE.items())
     )

@@ -1,11 +1,13 @@
 """Shared defense-coverage semantics: which branches a config promises
 to protect, and with which lowering.
 
-This is the single source of truth for the paper's coverage gaps
-(Section 8.6): :class:`~repro.hardening.harden.HardeningPass`,
-:class:`~repro.hardening.custom.CustomHardeningPass` and the static
-speculation-coverage lint (``PIBE5xx``) all call the same predicates, so
-the checker can never drift from the transformation it checks.
+These predicates decide which branches are eligible (Section 8.6's
+coverage gaps). The one hardening scan (:func:`~repro.hardening.harden.stamp`,
+behind the stock and the custom pass), the ``PIBE5xx`` lint, the attack
+census and the Table 11 census all call them, so checker and censuses
+cannot drift from the transformation. What a stamped tag protects is
+the other half of the model: the one table in
+:mod:`repro.hardening.classes`.
 
 Kept free of pass-manager imports on purpose — the static analyzer runs
 inside ``PassManager(verify_each=...)`` and must not import it back.
@@ -34,10 +36,11 @@ def icall_exempt(func: Function, inst: Instruction) -> bool:
     return not func.is_instrumentable or bool(inst.attrs.get(ATTR_ASM_SITE))
 
 
-def ret_exempt(func: Function) -> bool:
-    """Whether a return needs no hardening: boot-only code is not
-    attackable past early boot (Section 8.6). Returns in asm functions
-    are still protectable (objtool-style return-thunk patching)."""
+def boot_only(func: Function) -> bool:
+    """Whether ``func`` only runs during early boot: none of its branches
+    is attackable past that stage, so its returns need no hardening
+    (Section 8.6). Returns in asm functions are still protectable
+    (objtool-style return-thunk patching)."""
     return func.has_attr(FunctionAttr.BOOT_ONLY)
 
 
@@ -54,7 +57,7 @@ def branch_exempt(func: Function, inst: Instruction) -> bool:
     if inst.opcode == Opcode.ICALL:
         return icall_exempt(func, inst)
     if inst.opcode == Opcode.RET:
-        return ret_exempt(func)
+        return boot_only(func)
     if inst.opcode == Opcode.IJUMP:
         return ijump_exempt(func, inst)
     return True
@@ -70,7 +73,7 @@ def expected_defense(
             return None
         return config.forward_defense()
     if inst.opcode == Opcode.RET:
-        if ret_exempt(func):
+        if boot_only(func):
             return None
         return config.backward_defense()
     if inst.opcode == Opcode.IJUMP:

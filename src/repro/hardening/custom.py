@@ -5,24 +5,32 @@ have high overheads" — the paper explicitly suggests precise high-overhead
 research defenses such as path-sensitive CFI. This module is that
 extension point: register a defense with its per-branch cycle cost, static
 expansion and protection properties, and the whole pipeline (hardening,
-timing, size model, attack census) picks it up.
+timing, size model, attack census, Table 11 census, lint) picks it up.
+Its ``protects`` set lands in the one protection table of
+:mod:`repro.hardening.classes`.
 
 Example — a path-sensitive CFI that checks a hash of the taken path on
 every indirect transfer::
 
+    from repro.hardening.classes import LVI, RET2SPEC, SPECTRE_V2
+
     pscfi_fwd = CustomDefense(
         name="pscfi_fwd", kind="forward", cycles=35.0,
         site_expansion_units=4,
-        protects={"spectre_v2", "lvi"},
+        protects={SPECTRE_V2, LVI},
     )
     pscfi_ret = CustomDefense(
         name="pscfi_ret", kind="backward", cycles=28.0,
         site_expansion_units=4,
-        protects={"ret2spec", "lvi"},
+        protects={RET2SPEC, LVI},
     )
     register_defense(pscfi_fwd)
     register_defense(pscfi_ret)
     CustomHardeningPass(forward=pscfi_fwd, backward=pscfi_ret).run(module)
+
+The pass stamps through the same copy-on-write-aware scan as the stock
+:class:`~repro.hardening.harden.HardeningPass`, so it is safe on a
+staged variant: the pipeline's cached prefix and baseline stay untagged.
 """
 
 from __future__ import annotations
@@ -30,20 +38,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional
 
-from repro.hardening.coverage import (
-    CUSTOM_METADATA_KEY,
-    icall_exempt,
-    ijump_exempt,
-    ret_exempt,
+from repro.hardening.classes import (
+    KNOWN_CLASSES,
+    clear_custom_classes,
+    register_custom_classes,
 )
-from repro.hardening.harden import HardenReport
+from repro.hardening.coverage import CUSTOM_METADATA_KEY
+from repro.hardening.harden import HardenReport, stamp
 from repro.ir.module import Module
-from repro.ir.types import Opcode
 from repro.passes.manager import ModulePass
-
-#: Attack vectors a defense can protect against (must match
-#: :data:`repro.cpu.attacks.ALL_ATTACKS` vector names).
-KNOWN_VECTORS = frozenset({"spectre_v2", "ret2spec", "lvi"})
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,7 @@ class CustomDefense:
     def __post_init__(self) -> None:
         if self.kind not in ("forward", "backward"):
             raise ValueError(f"kind must be forward/backward, got {self.kind!r}")
-        unknown = set(self.protects) - KNOWN_VECTORS
+        unknown = set(self.protects) - KNOWN_CLASSES
         if unknown:
             raise ValueError(f"unknown attack vectors: {sorted(unknown)}")
         if self.cycles < 0:
@@ -82,6 +85,7 @@ def register_defense(defense: CustomDefense) -> CustomDefense:
             f"defense {defense.name!r} already registered with a "
             "different specification"
         )
+    register_custom_classes(defense.name, defense.protects)
     _REGISTRY[defense.name] = defense
     return defense
 
@@ -94,6 +98,7 @@ def registered_defense(name: str) -> Optional[CustomDefense]:
 def clear_registry() -> None:
     """Remove all custom defenses (test isolation)."""
     _REGISTRY.clear()
+    clear_custom_classes()
 
 
 def custom_defense_cost(tag: str) -> Optional[float]:
@@ -108,18 +113,13 @@ def custom_expansion_units(tag: str) -> Optional[int]:
     return defense.site_expansion_units if defense is not None else None
 
 
-def custom_tag_protects(tag: str, vector: str) -> bool:
-    """Whether a registered custom tag defeats the given attack vector."""
-    defense = _REGISTRY.get(tag)
-    return defense is not None and vector in defense.protects
-
-
 class CustomHardeningPass(ModulePass):
     """Tag branches with registered custom defenses.
 
-    Same coverage rules as the stock :class:`HardeningPass`: inline-asm
-    functions and asm sites cannot be instrumented on the forward edge;
-    boot-only returns are exempt.
+    Same coverage rules and the same scan as the stock
+    :class:`~repro.hardening.harden.HardeningPass`: inline-asm functions
+    and asm sites cannot be instrumented on the forward edge; boot-only
+    returns are exempt.
     """
 
     name = "custom-hardening"
@@ -143,28 +143,11 @@ class CustomHardeningPass(ModulePass):
         label = "+".join(
             d.name for d in (self.forward, self.backward) if d is not None
         )
-        report = HardenReport(config_label=label or "custom-none")
-        for func in module:
-            for inst in func.instructions():
-                if inst.opcode == Opcode.ICALL:
-                    if not icall_exempt(func, inst) and self.forward:
-                        inst.defense = self.forward.name
-                        report.protected_icalls += 1
-                    else:
-                        report.vulnerable_icalls += 1
-                elif inst.opcode == Opcode.RET:
-                    if ret_exempt(func):
-                        report.boot_only_rets += 1
-                    elif self.backward:
-                        inst.defense = self.backward.name
-                        report.protected_rets += 1
-                    else:
-                        report.vulnerable_rets += 1
-                elif inst.opcode == Opcode.IJUMP:
-                    if not ijump_exempt(func, inst) and self.forward:
-                        inst.defense = self.forward.name
-                        report.protected_ijumps += 1
-                    else:
-                        report.vulnerable_ijumps += 1
+        report = stamp(
+            module,
+            self.forward.name if self.forward is not None else None,
+            self.backward.name if self.backward is not None else None,
+            label or "custom-none",
+        )
         module.metadata[CUSTOM_METADATA_KEY] = label
         return report

@@ -16,16 +16,16 @@ paper's coverage gaps faithfully (Section 8.6):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.hardening.coverage import (
     METADATA_KEY,
     applied_config,
+    boot_only,
     icall_exempt,
     ijump_exempt,
-    ret_exempt,
 )
-from repro.hardening.defenses import Defense, DefenseConfig
+from repro.hardening.defenses import DefenseConfig
 from repro.ir.basicblock import BasicBlock
 from repro.ir.clone import clone_instruction_exact
 from repro.ir.module import Module
@@ -37,6 +37,7 @@ __all__ = [
     "HardenReport",
     "HardeningPass",
     "applied_config",
+    "stamp",
 ]
 
 
@@ -55,10 +56,88 @@ class HardenReport:
     #: per-defense-tag count of instrumented sites
     sites_by_defense: Dict[str, int] = field(default_factory=dict)
 
-    def _bump(self, defense: Defense) -> None:
-        self.sites_by_defense[defense.value] = (
-            self.sites_by_defense.get(defense.value, 0) + 1
-        )
+
+def stamp(
+    module: Module,
+    forward: Optional[str],
+    backward: Optional[str],
+    config_label: str,
+) -> HardenReport:
+    """Tag every instrumentable ICALL and IJUMP of ``module`` with
+    ``forward`` and every non-exempt return with ``backward`` (``None``
+    leaves that edge kind as it is and counts it vulnerable).
+
+    The one hardening scan, behind both :class:`HardeningPass` and
+    :class:`~repro.hardening.custom.CustomHardeningPass`.
+    """
+    report = HardenReport(config_label=config_label)
+
+    # Single scan, copy-on-write aware down to instruction
+    # granularity: tagging only ever writes ``attrs["defense"]`` on
+    # the tagged instruction, so on a COW module (a staged variant
+    # stamped onto the shared optimized prefix) each tag copies
+    # exactly what it dirties — the function shell on the first tag
+    # in a function, the block's instruction list on the first tag in
+    # a block, and the one tagged instruction. Untagged blocks and
+    # instructions stay shared with the prefix, which makes the stamp
+    # cost proportional to the number of tags rather than to module
+    # size. On an ordinary (fully owned) module every instruction is
+    # tagged in place, exactly as before COW existed.
+    for name in list(module.functions):
+        func = module.functions[name]
+        # instructions belong to the COW source; never mutate them
+        shared = module.is_cow_shared(name)
+        func_owned = not shared
+        for label in list(func.blocks):
+            block = func.blocks[label]
+            insts = block.instructions
+            block_owned = not shared
+            for i in range(len(insts)):
+                inst = insts[i]
+                opcode = inst.opcode
+                tag = None
+                if opcode == Opcode.ICALL:
+                    if forward is not None and not icall_exempt(func, inst):
+                        tag = forward
+                        report.protected_icalls += 1
+                    else:
+                        report.vulnerable_icalls += 1
+                elif opcode == Opcode.RET:
+                    # Returns are protectable even in assembly
+                    # functions (objtool-style return-thunk patching);
+                    # only boot-only code is exempt (Section 8.6).
+                    if boot_only(func):
+                        report.boot_only_rets += 1
+                    elif backward is not None:
+                        tag = backward
+                        report.protected_rets += 1
+                    else:
+                        report.vulnerable_rets += 1
+                elif opcode == Opcode.IJUMP:
+                    # Jump-table IJUMPs only exist when jump tables
+                    # were allowed (no transient defenses); opaque asm
+                    # IJUMPs can never be instrumented.
+                    if forward is not None and not ijump_exempt(func, inst):
+                        tag = forward
+                        report.protected_ijumps += 1
+                    else:
+                        report.vulnerable_ijumps += 1
+                if tag is not None:
+                    if shared:
+                        if not func_owned:
+                            func = module.mutable_shell(name)
+                            func_owned = True
+                        if not block_owned:
+                            block = BasicBlock(label, insts)
+                            func.blocks[label] = block
+                            insts = block.instructions
+                            block_owned = True
+                        inst = clone_instruction_exact(inst)
+                        insts[i] = inst
+                    inst.defense = tag
+                    sites = report.sites_by_defense
+                    sites[tag] = sites.get(tag, 0) + 1
+    return report
 
 
 class HardeningPass(ModulePass):
@@ -70,74 +149,10 @@ class HardeningPass(ModulePass):
         self.config = config
 
     def run(self, module: Module) -> HardenReport:
-        report = HardenReport(config_label=self.config.label())
         fwd = self.config.forward_defense()
         bwd = self.config.backward_defense()
-
-        # Single scan, copy-on-write aware down to instruction
-        # granularity: tagging only ever writes ``attrs["defense"]`` on
-        # the tagged instruction, so on a COW module (a staged variant
-        # stamped onto the shared optimized prefix) each tag copies
-        # exactly what it dirties — the function shell on the first tag
-        # in a function, the block's instruction list on the first tag in
-        # a block, and the one tagged instruction. Untagged blocks and
-        # instructions stay shared with the prefix, which makes the stamp
-        # cost proportional to the number of tags rather than to module
-        # size. On an ordinary (fully owned) module every instruction is
-        # tagged in place, exactly as before COW existed.
-        for name in list(module.functions):
-            func = module.functions[name]
-            # instructions belong to the COW source; never mutate them
-            shared = module.is_cow_shared(name)
-            func_owned = not shared
-            for label in list(func.blocks):
-                block = func.blocks[label]
-                insts = block.instructions
-                block_owned = not shared
-                for i in range(len(insts)):
-                    inst = insts[i]
-                    opcode = inst.opcode
-                    tag = None
-                    if opcode == Opcode.ICALL:
-                        if fwd is not None and not icall_exempt(func, inst):
-                            tag = fwd
-                            report.protected_icalls += 1
-                        else:
-                            report.vulnerable_icalls += 1
-                    elif opcode == Opcode.RET:
-                        # Returns are protectable even in assembly
-                        # functions (objtool-style return-thunk patching);
-                        # only boot-only code is exempt (Section 8.6).
-                        if ret_exempt(func):
-                            report.boot_only_rets += 1
-                        elif bwd is not None:
-                            tag = bwd
-                            report.protected_rets += 1
-                        else:
-                            report.vulnerable_rets += 1
-                    elif opcode == Opcode.IJUMP:
-                        # Jump-table IJUMPs only exist when jump tables
-                        # were allowed (no transient defenses); opaque asm
-                        # IJUMPs can never be instrumented.
-                        if fwd is not None and not ijump_exempt(func, inst):
-                            tag = fwd
-                            report.protected_ijumps += 1
-                        else:
-                            report.vulnerable_ijumps += 1
-                    if tag is not None:
-                        if shared:
-                            if not func_owned:
-                                func = module.mutable_shell(name)
-                                func_owned = True
-                            if not block_owned:
-                                block = BasicBlock(label, insts)
-                                func.blocks[label] = block
-                                insts = block.instructions
-                                block_owned = True
-                            inst = clone_instruction_exact(inst)
-                            insts[i] = inst
-                        inst.defense = tag.value
-                        report._bump(tag)
-
+        report = stamp(
+            module, fwd and fwd.value, bwd and bwd.value, self.config.label()
+        )
         module.metadata[METADATA_KEY] = self.config
         return report

@@ -10,36 +10,41 @@ sites, boot-only returns, target-less asm ijumps) must stay *untagged*:
 a tag there would claim protection the lowering cannot actually emit.
 
 Eligibility comes from :mod:`repro.hardening.coverage` — the same
-predicates the hardening passes use, so checker and transformation
-cannot drift.  The tag → protection-class table is *data*, not code:
-:mod:`repro.hardening.classes` seeds it from the stock defense
-frozensets and lets new backends (FineIBT, PAC) register their tags at
-runtime; a registered extension tag is accepted in place of the stock
-tag wherever it covers every class the config promises.  Registered
-custom defenses (:mod:`repro.hardening.custom`) are accepted in place
-of the stock tag on modules a custom pass has processed.
+predicates the hardening scan uses, so checker and transformation
+cannot drift.  What a tag protects comes from the one protection table
+in :mod:`repro.hardening.classes`, the table the attack census and the
+Table 11 census read too.  It is seeded from the stock defense
+frozensets and lets new backends (FineIBT, PAC) register extension tags
+at runtime; an extension tag is accepted in place of the stock tag
+wherever it covers every class the config promises (else ``PIBE507``).
+Custom-defense tags (:mod:`repro.hardening.custom`) are accepted on any
+eligible branch (``PIBE505`` on an exempt one); on modules a custom
+pass has processed, an untagged branch is the custom registration's
+business, not the stock config's promise.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from repro.hardening import classes as defense_classes_registry
-from repro.hardening.classes import defense_classes, required_classes
+from repro.hardening.classes import (
+    CUSTOM,
+    EXTENSION,
+    protects,
+    registry_snapshot,
+    required_classes,
+    tag_kind,
+)
 from repro.hardening.coverage import (
     applied_config,
     branch_exempt,
     custom_hardened,
     expected_defense,
 )
-from repro.hardening.custom import registered_defense
-from repro.hardening.defenses import Defense
 from repro.ir.module import Module
 from repro.ir.types import INDIRECT_BRANCHES, Opcode
 from repro.static.diagnostics import Diagnostic, Severity
 from repro.static.registry import Rule, register
-
-_STOCK_TAGS = frozenset(d.value for d in Defense)
 
 _UNPROTECTED_CODE = {
     Opcode.ICALL: "PIBE501",
@@ -63,7 +68,7 @@ class SpeculationCoverageRule(Rule):
         "PIBE506": "unknown defense tag (not stock, not registered custom)",
         "PIBE507": "promised tag is outside its protection class",
     }
-    version = 2  # tag -> class table moved to repro.hardening.classes
+    version = 3  # custom tags joined the one protection table
 
     def check_function(self, func, module: Module, ctx) -> Iterable[Diagnostic]:
         config = applied_config(module)
@@ -80,14 +85,11 @@ class SpeculationCoverageRule(Rule):
                     site_id=inst.site_id,
                 )
                 tag = inst.defense
+                kind = tag_kind(tag)
                 expected = expected_defense(func, inst, config)
 
-                if (
-                    tag is not None
-                    and tag not in _STOCK_TAGS
-                    and not defense_classes_registry.is_class_registered(tag)
-                ):
-                    if registered_defense(tag) is None:
+                if tag is not None and kind in (None, CUSTOM):
+                    if kind is None:
                         yield self.diag(
                             "PIBE506",
                             err,
@@ -144,7 +146,7 @@ class SpeculationCoverageRule(Rule):
                     # classes cover everything the config promises here;
                     # the gaps, if any, are class findings (PIBE507) —
                     # sharper than a generic wrong-tag error.
-                    if tag not in _STOCK_TAGS:
+                    if kind == EXTENSION:
                         yield from self._check_class(
                             inst, tag, required, config, loc
                         )
@@ -163,19 +165,14 @@ class SpeculationCoverageRule(Rule):
 
     def cache_env(self, module: Module, ctx) -> object:
         # Coverage depends on the module's applied defense config, the
-        # custom-hardening marker, the custom-defense registry, and the
-        # tag -> protection-class table.
+        # custom-hardening marker and the protection table (stock,
+        # extension and custom tags).
         from repro.hardening.coverage import CUSTOM_METADATA_KEY, METADATA_KEY
-        from repro.hardening.custom import _REGISTRY as custom_registry
 
         return {
             "config": repr(module.metadata.get(METADATA_KEY)),
             "custom_marker": repr(module.metadata.get(CUSTOM_METADATA_KEY)),
-            "custom_registry": sorted(
-                (name, d.kind, tuple(sorted(d.protects)))
-                for name, d in custom_registry.items()
-            ),
-            "classes": defense_classes_registry.registry_snapshot(),
+            "classes": registry_snapshot(),
         }
 
     def _check_class(
@@ -183,9 +180,8 @@ class SpeculationCoverageRule(Rule):
     ) -> Iterable[Diagnostic]:
         """The promised tag must sit in every protection class the
         config claims for this edge (taxonomy self-consistency)."""
-        provided = defense_classes(tag)
         for class_name in required:
-            if class_name not in provided:
+            if not protects(tag, class_name):
                 yield self.diag(
                     "PIBE507",
                     Severity.ERROR,

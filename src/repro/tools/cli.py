@@ -29,6 +29,7 @@ from repro.core.config import PibeConfig
 from repro.core.pipeline import PibePipeline
 from repro.core.report import build_overhead_report
 from repro.cpu.attacks import ALL_ATTACKS, attack_surface
+from repro.hardening.classes import LVI, RET2SPEC, SPECTRE_V2
 from repro.hardening.defenses import DefenseConfig
 from repro.hardening.harden import applied_config
 from repro.ir.module import Module
@@ -778,7 +779,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kernel_args(p)
     p.add_argument(
         "--vector",
-        choices=("all", "spectre_v2", "ret2spec", "lvi"),
+        choices=("all", SPECTRE_V2, RET2SPEC, LVI),
         default="all",
     )
     p.add_argument("--limit", type=int, default=3, help="attempts to show")

@@ -3,6 +3,7 @@ transient exceptions and cache corruption must cost at most the affected
 cell, never the regeneration."""
 
 import json
+import time
 
 import pytest
 
@@ -326,3 +327,61 @@ def test_no_faults_parallel_identical_to_sequential(tmp_path):
     assert par.failure_report.ok
     assert par.failure_report.retries == 0
     assert seq.failure_report.ok
+
+
+def test_hung_prewarm_worker_is_bounded_by_cell_timeout(tmp_path, monkeypatch):
+    """A prewarm worker hung in a prefix write costs ``cell_timeout``, not
+    the hang: the pool is killed, the lost prefix builds inline later,
+    and the sweep output is unchanged."""
+    from repro.evaluation.sweepengine import SweepGrid, run_sweep
+    from repro.kernel.generator import build_kernel
+
+    grid = SweepGrid(
+        budgets=(0.5, 0.99),
+        defenses=(DefenseConfig.retpolines_only(),),
+        scales=("small",),
+    )
+    kernels = {"small": build_kernel(SmallSpec())}
+
+    def sweep(cache_dir, jobs):
+        result = run_sweep(
+            grid,
+            _settings(cache_dir, cell_timeout=2.0),
+            benches=BENCHES,
+            jobs=jobs,
+            kernels=kernels,
+            security=False,
+        )
+        return result.to_csv(), result.render_report("text")
+
+    expected = sweep(tmp_path / "clean", jobs=1)
+
+    elapsed = []
+    prewarm = EvalContext.prewarm_prefixes
+
+    def timed_prewarm(self, *args, **kwargs):
+        start = time.monotonic()
+        try:
+            return prewarm(self, *args, **kwargs)
+        finally:
+            elapsed.append(time.monotonic() - start)
+
+    monkeypatch.setattr(EvalContext, "prewarm_prefixes", timed_prewarm)
+    faults.install(
+        FaultPlan(
+            specs=[
+                FaultSpec(
+                    point="cache.put",
+                    mode="hang",
+                    match="prefix*",
+                    seconds=12.0,
+                    times=1,
+                )
+            ]
+        )
+    )
+    assert sweep(tmp_path / "faulty", jobs=2) == expected
+    assert len(elapsed) == 1
+    # cell_timeout plus slack for profiling and the pool fork and kill;
+    # a wait without a deadline takes the whole 12 s hang.
+    assert elapsed[0] < 2.0 + 4.0, elapsed

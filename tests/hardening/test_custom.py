@@ -174,3 +174,57 @@ def test_pibe_reduces_custom_defense_overhead(small_pipeline, small_profile):
     opt_overhead = fast / base - 1
     assert unopt_overhead > 0.5
     assert opt_overhead < unopt_overhead / 3
+
+
+def test_custom_pass_on_staged_variant_leaves_pipeline_untagged():
+    """The custom pass stamps copy-on-write: a staged variant shares its
+    functions with the pipeline's cached prefix and baseline, which must
+    not pick up the custom tags."""
+    from repro.core.config import PibeConfig
+    from repro.core.pipeline import PibePipeline
+    from repro.kernel.generator import build_kernel
+    from repro.kernel.spec import SmallSpec
+
+    def custom_tags(module):
+        return [
+            inst.defense
+            for inst in module.instructions()
+            if inst.defense in (PSCFI_FWD.name, PSCFI_RET.name)
+        ]
+
+    pipeline = PibePipeline(build_kernel(SmallSpec()))
+    config = PibeConfig.lto_baseline()
+    build = pipeline.build_variant(config)
+    report = CustomHardeningPass(forward=PSCFI_FWD, backward=PSCFI_RET).run(
+        build.module
+    )
+    assert report.protected_icalls > 0 and report.protected_rets > 0
+    assert len(custom_tags(build.module)) == (
+        report.protected_icalls + report.protected_ijumps + report.protected_rets
+    )
+    assert custom_tags(pipeline.baseline) == []
+    assert custom_tags(pipeline.build_variant(config).module) == []
+
+
+def test_custom_tag_cannot_shadow_stock_or_extension_tag():
+    from repro.hardening.classes import (
+        clear_extension_classes,
+        register_defense_classes,
+    )
+
+    with pytest.raises(ValueError, match="stock defense tag"):
+        register_defense(
+            CustomDefense("retpoline", kind="forward", cycles=1.0)
+        )
+    register_defense_classes("fineibt", {"spectre_v2"})
+    try:
+        with pytest.raises(ValueError, match="already registered"):
+            register_defense(
+                CustomDefense("fineibt", kind="forward", cycles=1.0)
+            )
+        register_defense(PSCFI_FWD)
+        with pytest.raises(ValueError, match="already registered"):
+            register_defense_classes("pscfi_fwd", {"spectre_v2"})
+    finally:
+        clear_extension_classes()
+    assert registered_defense("fineibt") is None

@@ -7,18 +7,17 @@ from __future__ import annotations
 import pytest
 
 from repro.hardening.classes import (
+    EXTENSION,
     KNOWN_CLASSES,
     LVI,
     RET2SPEC,
     SPECTRE_V2,
     clear_extension_classes,
-    defense_classes,
-    is_class_registered,
+    protects,
     register_defense_classes,
     registry_snapshot,
     required_classes,
-    tags_for_class,
-    unregister_defense_classes,
+    tag_kind,
 )
 from repro.hardening.defenses import Defense, DefenseConfig
 from repro.hardening.harden import HardeningPass
@@ -38,14 +37,15 @@ def _clean_registry():
 # -- registry semantics -------------------------------------------------------
 
 
+def _classes(tag):
+    return {vector for vector in KNOWN_CLASSES if protects(tag, vector)}
+
+
 def test_stock_tags_seeded_from_lowering_tables():
-    assert SPECTRE_V2 in defense_classes(Defense.RETPOLINE.value)
-    assert defense_classes(Defense.FENCED_RETPOLINE.value) >= {
-        SPECTRE_V2,
-        LVI,
-    }
-    assert RET2SPEC in defense_classes(Defense.RET_RETPOLINE.value)
-    assert defense_classes(Defense.LVI_CFI_FWD.value) == frozenset({LVI})
+    assert SPECTRE_V2 in _classes(Defense.RETPOLINE.value)
+    assert _classes(Defense.FENCED_RETPOLINE.value) >= {SPECTRE_V2, LVI}
+    assert RET2SPEC in _classes(Defense.RET_RETPOLINE.value)
+    assert _classes(Defense.LVI_CFI_FWD.value) == {LVI}
 
 
 def test_stock_tag_cannot_be_remapped():
@@ -59,14 +59,13 @@ def test_unknown_class_rejected():
 
 
 def test_register_and_unregister_extension():
-    assert not is_class_registered("fineibt")
+    assert tag_kind("fineibt") is None
     register_defense_classes("fineibt", {SPECTRE_V2, LVI})
-    assert is_class_registered("fineibt")
-    assert defense_classes("fineibt") == frozenset({SPECTRE_V2, LVI})
-    assert "fineibt" in tags_for_class(SPECTRE_V2)
-    unregister_defense_classes("fineibt")
-    assert not is_class_registered("fineibt")
-    assert defense_classes("fineibt") == frozenset()
+    assert tag_kind("fineibt") == EXTENSION
+    assert _classes("fineibt") == {SPECTRE_V2, LVI}
+    clear_extension_classes()
+    assert tag_kind("fineibt") is None
+    assert _classes("fineibt") == set()
 
 
 def test_required_classes_follow_config():
@@ -86,7 +85,7 @@ def test_snapshot_is_canonical_and_tracks_registrations():
     register_defense_classes("pac_cfi", {SPECTRE_V2})
     after = registry_snapshot()
     assert after != before
-    assert ("pac_cfi", (SPECTRE_V2,)) in after
+    assert ("pac_cfi", EXTENSION, (SPECTRE_V2,)) in after
     assert KNOWN_CLASSES == {SPECTRE_V2, RET2SPEC, LVI}
 
 
@@ -162,3 +161,21 @@ def test_registry_change_invalidates_lint_cache(tmp_path):
     dirty = lint_module(module, rules=["speculation-coverage"], cache=cache)
     assert dirty.stats["cache_misses"] > 0
     assert any(d.code == "PIBE507" for d in dirty.errors())
+
+
+def test_extension_tag_closes_attacks_and_table11_census():
+    from repro.analysis.gadgets import forward_edge_census
+    from repro.cpu.attacks import LVIAttack, SpectreV2Attack
+
+    register_defense_classes("fineibt", {SPECTRE_V2, LVI})
+    module = _hardened_module(DefenseConfig(retpolines=True, lvi_cfi=True))
+    _retag(module, Opcode.ICALL, "fineibt")
+    assert _errors(module) == []
+    icall = next(module.indirect_call_sites())
+    for attack in (SpectreV2Attack(), LVIAttack()):
+        assert not attack.attempt(module, "caller", icall).success
+        assert all(
+            inst is not icall for _, inst in attack.hijackable_sites(module)
+        )
+    census = forward_edge_census(module)
+    assert (census.defended_icalls, census.vulnerable_icalls) == (1, 0)

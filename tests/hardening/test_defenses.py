@@ -2,14 +2,8 @@
 
 import pytest
 
-from repro.hardening.defenses import (
-    Defense,
-    DefenseConfig,
-    LVI_SAFE,
-    NonTransientDefense,
-    RSB_SAFE,
-    SPECTRE_V2_SAFE,
-)
+from repro.hardening.classes import LVI, RET2SPEC, SPECTRE_V2, protects
+from repro.hardening.defenses import Defense, DefenseConfig, NonTransientDefense
 
 
 def test_forward_lowering_selection():
@@ -57,14 +51,14 @@ def test_jump_table_disabling_rule():
 
 def test_safety_set_memberships():
     # LVI-CFI's bare indirect jump is still BTB-predicted: NOT V2-safe
-    assert Defense.LVI_CFI_FWD.value not in SPECTRE_V2_SAFE
-    assert Defense.RETPOLINE.value in SPECTRE_V2_SAFE
-    assert Defense.FENCED_RETPOLINE.value in SPECTRE_V2_SAFE
+    assert not protects(Defense.LVI_CFI_FWD.value, SPECTRE_V2)
+    assert protects(Defense.RETPOLINE.value, SPECTRE_V2)
+    assert protects(Defense.FENCED_RETPOLINE.value, SPECTRE_V2)
     # plain retpolines don't fence loads: NOT LVI-safe
-    assert Defense.RETPOLINE.value not in LVI_SAFE
-    assert Defense.FENCED_RETPOLINE.value in LVI_SAFE
-    assert Defense.RET_RETPOLINE.value in RSB_SAFE
-    assert Defense.LVI_CFI_RET.value not in RSB_SAFE
+    assert not protects(Defense.RETPOLINE.value, LVI)
+    assert protects(Defense.FENCED_RETPOLINE.value, LVI)
+    assert protects(Defense.RET_RETPOLINE.value, RET2SPEC)
+    assert not protects(Defense.LVI_CFI_RET.value, RET2SPEC)
 
 
 def test_labels():

@@ -105,7 +105,7 @@ class _BrokenConfig(DefenseConfig):
     the taxonomy inconsistency PIBE507 exists to catch."""
 
     def forward_defense(self):
-        return Defense.LVI_CFI_FWD  # not SPECTRE_V2_SAFE
+        return Defense.LVI_CFI_FWD  # does not protect spectre_v2
 
 
 def test_promised_tag_outside_protection_class_pibe507():
