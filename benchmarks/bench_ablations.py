@@ -183,13 +183,15 @@ def test_ablation_custom_path_sensitive_cfi(benchmark, eval_ctx):
     )
 
     def run():
-        import copy
-
         benches = TABLE3_BENCHMARKS
-        lto_build = eval_ctx.variant(PibeConfig.lto_baseline())
-        pibe_build = eval_ctx.variant(PibeConfig.pibe_baseline())
-        unopt = copy.deepcopy(lto_build.module)
-        opt = copy.deepcopy(pibe_build.module)
+        # Fresh variants straight from the pipeline (the context memoizes
+        # its own): the custom pass stamps copy-on-write, so the cached
+        # prefixes stay untagged.
+        pipeline = eval_ctx.pipeline
+        unopt = pipeline.build_variant(PibeConfig.lto_baseline()).module
+        opt = pipeline.build_variant(
+            PibeConfig.pibe_baseline(), eval_ctx.profile("lmbench")
+        ).module
         CustomHardeningPass(forward=fwd, backward=bwd).run(unopt)
         CustomHardeningPass(forward=fwd, backward=bwd).run(opt)
         lto = eval_ctx.lto_measurements(benches)

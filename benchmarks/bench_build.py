@@ -4,14 +4,15 @@ Three benchmarks, all recording to ``BENCH_build.json`` at the repo root:
 
 - ``staged_variant_build``: the defense sweep the staged engine exists
   for — N hardening configurations at one shared optimization budget.
-  The monolithic engine re-runs ICP + inlining per variant; the staged
-  engine runs them once per distinct optimization prefix and stamps each
-  defense onto a copy-on-write clone. Measured three ways (monolithic,
-  staged against an empty cache, staged against the populated cache).
+  The monolithic reference build (:mod:`repro.core.reference`) re-runs
+  ICP + inlining per variant; the pipeline runs them once per distinct
+  optimization prefix and stamps each defense onto a copy-on-write
+  clone. Measured three ways (monolithic, staged against an empty cache,
+  staged against the populated cache).
 - ``prefix_delta_ladder``: the budget ladder the incremental engine
   exists for — one profile, many budgets in the fine-grained tuning
-  regime. The cold arm builds every prefix through the full pass stack;
-  the delta arm derives each budget from the shared decision basis,
+  regime. The cold arm builds every prefix through the reference pass
+  list; the delta arm derives each budget from the shared decision basis,
   re-transforming only touched functions. Timed over ``warm_prefix``
   (prefix derivation only — the hardening stamp is identical in both
   arms), with the bar on the *added* budgets (everything after the
@@ -20,7 +21,8 @@ Three benchmarks, all recording to ``BENCH_build.json`` at the repo root:
   full machinery — parallel prefix prewarming over delta-derived
   budget slices, then a parallel measurement fan-out over the warmed
   cache — versus the pre-incremental serial sweep that builds every
-  prefix cold inside the measurement loop.
+  prefix cold (with the reference pass list) inside the measurement
+  loop.
 
 Runs as a pytest benchmark (``pytest benchmarks/bench_build.py``,
 ``REPRO_BENCH_FAST=1`` for the small kernel) or as a script
@@ -39,6 +41,7 @@ import tempfile
 import time
 from pathlib import Path
 from typing import Any, Dict
+from unittest import mock
 
 if __package__ in (None, ""):  # script mode: make `from _meta import` work
     sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -46,7 +49,8 @@ if __package__ in (None, ""):  # script mode: make `from _meta import` work
 from _meta import stamp, write_record
 
 from repro.core.config import PibeConfig
-from repro.core.pipeline import PibePipeline
+from repro.core.pipeline import PibePipeline, PrefixEntry, PrefixKey
+from repro.core.reference import reference_build, reference_prefix
 from repro.evaluation.cache import DiskCache
 from repro.evaluation.harness import EvalContext, EvalSettings
 from repro.evaluation.sweepengine import SweepGrid, llvm_cfi_only, run_sweep
@@ -94,11 +98,19 @@ MIN_PREWARM_SPEEDUP = 2.0
 PREWARM_JOBS = max(2, min(8, os.cpu_count() or 4))
 
 
-def _sweep(pipeline: PibePipeline, configs, profile, staged: bool) -> float:
+def _sweep(build, configs) -> float:
     start = time.perf_counter()
     for config in configs:
-        pipeline.build_variant(config, profile, staged=staged)
+        build(config)
     return time.perf_counter() - start
+
+
+def _reference_build_prefix(self, key, profile, after_phase=None):
+    """Stand-in for ``PibePipeline._build_prefix``: every prefix through
+    the reference pass list, the way the pre-incremental engine built it
+    (memo, disk cache and stamping are unchanged)."""
+    module, reports = reference_prefix(self.baseline, key, profile)
+    return PrefixEntry(module=module, reports=reports)
 
 
 def run_build_bench(fast: bool) -> Dict[str, Any]:
@@ -112,14 +124,10 @@ def run_build_bench(fast: bool) -> Dict[str, Any]:
     configs = [PibeConfig.lax(d) for d in DEFENSES]
 
     mono = min(
-        _sweep(PibePipeline(kernel), configs, profile, staged=False)
+        _sweep(lambda c: reference_build(kernel, c, profile), configs)
         for _ in range(REPS)
     )
 
-    # incremental=False: this benchmark isolates the staged engine
-    # (prefix reuse + defense stamping); the delta engine's decision
-    # basis only pays for itself over a budget ladder, which
-    # ``prefix_delta_ladder`` measures on its own.
     cold = None
     warm = None
     warm_pipeline = None
@@ -127,16 +135,18 @@ def run_build_bench(fast: bool) -> Dict[str, Any]:
     for _ in range(REPS):
         with tempfile.TemporaryDirectory(prefix="bench-build-") as tmp:
             cache = DiskCache(Path(tmp))
-            cold_pipeline = PibePipeline(kernel, cache=cache, incremental=False)
-            t = _sweep(cold_pipeline, configs, profile, staged=True)
+            cold_pipeline = PibePipeline(kernel, cache=cache)
+            t = _sweep(
+                lambda c: cold_pipeline.build_variant(c, profile), configs
+            )
             cold = t if cold is None else min(cold, t)
             assert cold_pipeline.stats["prefix_builds"] > 0
 
             warm_cache = DiskCache(Path(tmp))
-            warm_pipeline = PibePipeline(
-                kernel, cache=warm_cache, incremental=False
+            warm_pipeline = PibePipeline(kernel, cache=warm_cache)
+            t = _sweep(
+                lambda c: warm_pipeline.build_variant(c, profile), configs
             )
-            t = _sweep(warm_pipeline, configs, profile, staged=True)
             warm = t if warm is None else min(warm, t)
 
     # The warm sweep must be served from the persisted prefixes: disk
@@ -165,7 +175,7 @@ def run_build_bench(fast: bool) -> Dict[str, Any]:
 
 
 def run_delta_bench(fast: bool) -> Dict[str, Any]:
-    """Budget ladder: cold pass-stack prefixes vs delta derivation."""
+    """Budget ladder: reference pass-list prefixes vs delta derivation."""
     spec = SmallSpec() if fast else DEFAULT_SPEC
     ops_scale = 0.05 if fast else 0.02
     kernel = build_kernel(spec)
@@ -182,26 +192,35 @@ def run_delta_bench(fast: bool) -> Dict[str, Any]:
         for budget in DELTA_BUDGETS
     ]
 
-    # Timed via warm_prefix: the prefix derivation is what the delta
-    # engine accelerates — the hardening stamp downstream is identical
-    # in both arms and would only dilute the measurement.
-    def ladder(incremental: bool):
-        best = None
-        pipeline = None
-        for _ in range(REPS):
-            pipeline = PibePipeline(kernel, incremental=incremental)
-            times = []
-            for config in configs:
-                start = time.perf_counter()
-                pipeline.warm_prefix(config, profile)
-                times.append(time.perf_counter() - start)
-            if best is None or sum(times) < sum(best):
-                best = times
-        return best, pipeline
+    # Prefix derivation only: it is what the delta engine accelerates —
+    # the hardening stamp downstream is identical in both arms and would
+    # only dilute the measurement.
+    def timed(build):
+        times = []
+        for config in configs:
+            start = time.perf_counter()
+            build(config)
+            times.append(time.perf_counter() - start)
+        return times
 
-    cold_times, cold_pipeline = ladder(incremental=False)
-    delta_times, delta_pipeline = ladder(incremental=True)
-    assert cold_pipeline.stats["prefix_delta_builds"] == 0
+    cold_times = min(
+        (
+            timed(
+                lambda config: reference_prefix(
+                    kernel, PrefixKey.from_config(config), profile
+                )
+            )
+            for _ in range(REPS)
+        ),
+        key=sum,
+    )
+    delta_runs = []
+    for _ in range(REPS):
+        delta_pipeline = PibePipeline(kernel)
+        delta_runs.append(
+            timed(lambda config: delta_pipeline.warm_prefix(config, profile))
+        )
+    delta_times = min(delta_runs, key=sum)
     assert delta_pipeline.stats["prefix_delta_builds"] == len(configs)
 
     # The first budget pays decision-basis construction (delta arm) or a
@@ -268,7 +287,7 @@ def run_prewarm_bench(fast: bool) -> Dict[str, Any]:
         with EvalContext(seed_settings, kernel=kernel) as ctx:
             ctx.profile("lmbench")
 
-        def arm(jobs: int, prewarm: bool, incremental: bool):
+        def arm(jobs: int, prewarm: bool):
             with tempfile.TemporaryDirectory(prefix="bench-prewarm-") as tmp:
                 shutil.copytree(
                     Path(seed_dir) / "profile", Path(tmp) / "profile"
@@ -279,7 +298,6 @@ def run_prewarm_bench(fast: bool) -> Dict[str, Any]:
                     measure_ops_scale=0.02,
                     jobs=jobs,
                     cache_dir=tmp,
-                    incremental_prefixes=incremental,
                 )
                 start = time.perf_counter()
                 result = run_sweep(
@@ -297,9 +315,12 @@ def run_prewarm_bench(fast: bool) -> Dict[str, Any]:
         feature_seconds = None
         serial = feature = None
         for _ in range(reps):
-            t, serial = arm(1, prewarm=False, incremental=False)
+            with mock.patch.object(
+                PibePipeline, "_build_prefix", _reference_build_prefix
+            ):
+                t, serial = arm(1, prewarm=False)
             serial_seconds = t if serial_seconds is None else min(serial_seconds, t)
-            t, feature = arm(PREWARM_JOBS, prewarm=True, incremental=True)
+            t, feature = arm(PREWARM_JOBS, prewarm=True)
             feature_seconds = (
                 t if feature_seconds is None else min(feature_seconds, t)
             )

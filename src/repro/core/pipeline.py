@@ -10,31 +10,23 @@ harden every remaining indirect branch with the requested defenses.
 
 Phase 2 is *staged*: everything up to hardening — lowering, profile
 lifting, ICP, inlining, CFG cleanup, DCE — depends only on the baseline,
-the profile, and the optimization facets of the config (budgets,
-thresholds, jump-table legality), not on which defenses get stamped on
-top. That shared **optimized prefix** is built once per distinct
-:class:`PrefixKey`, memoized in memory and (when the pipeline has a
-:class:`~repro.evaluation.cache.DiskCache`) persisted to disk via the
-exact IR codec, and every variant at the same budget is produced by
-stamping the hardening pass onto a copy-on-write clone of the cached
-prefix. A defense sweep at one budget runs ICP + inlining once instead
-of once per defense combination.
+the profile and the config's optimization facets (:class:`PrefixKey`),
+not on which defenses get stamped on top. That shared **optimized
+prefix** is built once per key, memoized in memory and on disk (a header
+plus content-addressed function-group chunks, so a budget ladder decodes
+each shared group once per process), and every variant stamps the
+hardening pass onto a copy-on-write clone of it.
 
-Prefixes for *optimized* keys are themselves built **incrementally**
-(paper Section 4's "one profile, many budgets" workflow): ICP and the
-inliners split into a decision phase — ranked against the profile and
-budget over a :class:`~repro.passes.decisions.VirtualSpace`, no IR
-mutation — and an apply phase that replays the decisions onto a
-copy-on-write clone of a shared per-profile *decision basis* (the
-lifted + switch-lowered module). Only functions the decisions touch are
-materialized; everything else is shared with the basis (and hence with
-every neighboring budget's prefix), and per-function SimplifyCFG results
-and validation are cached on the basis. The replay mints global ids in
-the exact order a cold monolithic build would, so delta-derived prefixes
-are bit-identical to cold ones (pinned by the differential and property
-tests). On disk, prefixes persist as a header plus content-addressed
-function-group chunks, so warm loads decode each shared group once per
-process no matter how many budget entries reference it.
+Every prefix is built one way (paper Section 4's "one profile, many
+budgets"): ICP and the inliners plan their decisions against the profile
+and budget over a :class:`~repro.passes.decisions.VirtualSpace` (no IR
+mutation), then replay them onto a copy-on-write clone of a shared
+*decision basis* — the lifted, switch-lowered module. An unoptimized
+config is the delta from an empty decision set. Only functions the
+decisions touch are materialized; SimplifyCFG results and validation of
+the rest are cached on the basis. The replay mints global ids in the
+order of the monolithic pass list (:mod:`repro.core.reference`, the test
+oracle), so prefixes are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -42,10 +34,11 @@ from __future__ import annotations
 import contextlib
 import copy
 import dataclasses
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import PibeConfig
 from repro.hardening.harden import HardenReport, HardeningPass
@@ -76,9 +69,9 @@ from repro.passes.decisions import (
 )
 from repro.passes.default_inliner import DefaultInliner, DefaultInlineReport
 from repro.passes.icp import ICPReport, IndirectCallPromotion, PromotionRecord
-from repro.passes.inline_cost import InlineCostCache
 from repro.passes.inliner import InlineReport, PibeInliner
 from repro.passes.jumptables import LowerSwitches, SwitchLoweringReport
+from repro.passes.manager import verify_boundary
 from repro.passes.lto import (
     DCEReport,
     DeadFunctionElimination,
@@ -86,7 +79,6 @@ from repro.passes.lto import (
     SimplifyCFGReport,
     mergeable_pairs,
 )
-from repro.passes.manager import ModulePass, PassManager
 from repro.engine.compiled import DEFAULT_ENGINE
 from repro.profiling.lifting import lift_profile
 from repro.profiling.profile_data import EdgeProfile
@@ -138,7 +130,7 @@ def deterministic_build_ids():
 
     Two builds wrapped in separate ``deterministic_build_ids()`` blocks
     allocate identical ids, making their output directly comparable —
-    the staged-vs-monolithic differential tests' backbone. The caveat of
+    the builder-vs-reference differential tests' backbone. The caveat of
     :func:`repro.ir.instruction.site_id_checkpoint` applies: modules from
     different checkpoints reuse ids, so never mix them under one profile.
     """
@@ -362,27 +354,19 @@ class PibePipeline:
         and ``"prefix-chunk"`` kind (content-addressed function groups)
         so other processes (parallel evaluation workers, later runs)
         skip the ICP + inlining work entirely.
-    incremental:
-        Build optimized prefixes through the delta decision/apply engine
-        (share a per-profile basis across budgets, transform only touched
-        functions). ``False`` forces every prefix through the monolithic
-        cold pass run — the benchmark baseline arm; output is
-        bit-identical either way.
     """
 
     def __init__(
         self,
         baseline: Module,
         cache: Optional[Any] = None,
-        incremental: bool = True,
     ) -> None:
         validate_module(baseline)
         self.baseline = baseline
         self.cache = cache
-        self.incremental = incremental
         self._baseline_fp: Optional[str] = None
         self._prefix_memo: Dict[Any, PrefixEntry] = {}
-        self._basis_memo: Dict[Tuple[str, bool], _DecisionBasis] = {}
+        self._basis_memo: Dict[Tuple[Optional[str], bool], _DecisionBasis] = {}
         #: decoded prefix chunks by content sha — shared across entries so
         #: a warm budget ladder decodes each untouched group once.
         self._chunk_memo: Dict[str, Tuple[Dict[str, Function], int]] = {}
@@ -406,7 +390,6 @@ class PibePipeline:
         #: cache stats``)
         self.stats: Dict[str, int] = {
             "staged_builds": 0,
-            "monolithic_builds": 0,
             "prefix_builds": 0,
             "prefix_delta_builds": 0,
             "prefix_memory_hits": 0,
@@ -473,127 +456,50 @@ class PibePipeline:
         self,
         config: PibeConfig,
         profile: Optional[EdgeProfile] = None,
-        validate: bool = False,
-        verify_each: bool = False,
-        staged: Optional[bool] = None,
+        verify_each: Any = False,
     ) -> BuildResult:
-        """Produce one kernel variant.
+        """Produce one kernel variant: ``config``'s defenses stamped onto
+        a copy-on-write clone of its shared optimized prefix.
 
         ``profile`` is required whenever the config enables ICP or
-        inlining. ``validate`` re-verifies the module after every pass
-        (slower; on for tests, off for benchmark sweeps). ``verify_each``
-        additionally runs the full static-analysis rule set at every pass
-        boundary, raising on error-severity findings.
-
-        ``staged`` selects the build engine: ``True`` stamps hardening
-        onto the shared optimized prefix (bit-identical output, one ICP +
-        inlining run per budget instead of per variant), ``False`` runs
-        the monolithic pass list from a fresh baseline clone. The default
-        stages whenever neither ``validate`` nor ``verify_each`` is set —
-        pass-boundary verification needs every pass to actually run.
+        inlining. ``verify_each`` (``True``, or a rule selection such as
+        ``["structural"]``) runs
+        :func:`~repro.passes.manager.verify_boundary` after every phase:
+        lower-switches, ICP, inliner, SimplifyCFG, DCE, hardening. A
+        verified build never takes its prefix from a cache.
         """
         if config.optimized and profile is None:
             raise ValueError(
                 f"config {config.label()!r} needs a profile for its "
                 "optimization budgets"
             )
-        if staged is None:
-            staged = not (validate or verify_each)
-        if staged and not (validate or verify_each):
-            return self._build_staged(config, profile)
-        self.stats["monolithic_builds"] += 1
-        module = clone_module(self.baseline)
-
-        passes: List[ModulePass] = [
-            LowerSwitches(
-                allow_jump_tables=not config.defenses.disables_jump_tables
-            )
-        ]
-        if profile is not None and config.optimized:
-            lift_profile(module, profile)
-            self._add_optimization_passes(passes, config, profile)
-        if config.run_dce:
-            passes.append(DeadFunctionElimination())
-        passes.append(HardeningPass(config.defenses))
-
-        manager = PassManager(
-            validate_after_each=validate,
-            verify_each=verify_each,
-            verify_profile=profile,
-        )
-        for pass_ in passes:
-            manager.add(pass_)
-        reports = manager.run(module)
-        if not validate:
-            validate_module(module)
-        return BuildResult(config=config, module=module, reports=reports)
-
-    @staticmethod
-    def _add_optimization_passes(
-        passes: List[ModulePass], config: PibeConfig, profile: EdgeProfile
-    ) -> None:
-        """Append the ICP / inline / cleanup passes for an optimized config
-        (identical list for the monolithic path and the prefix build)."""
-        if config.icp_budget is not None:
-            passes.append(IndirectCallPromotion(budget=config.icp_budget))
-        if config.inline_budget is not None:
-            # One cost cache serves the whole build; the inliner keeps it
-            # exact incrementally instead of invalidating per splice.
-            costs = InlineCostCache()
-            if config.use_default_inliner:
-                passes.append(DefaultInliner(profile=profile, costs=costs))
-            else:
-                passes.append(
-                    PibeInliner(
-                        profile,
-                        budget=config.inline_budget,
-                        caller_threshold=config.caller_threshold,
-                        callee_threshold=config.callee_threshold,
-                        lax_heuristics=config.lax_heuristics,
-                        costs=costs,
-                    )
-                )
-        passes.append(SimplifyCFG())
-
-    # -- staged engine ---------------------------------------------------------
-
-    def _build_staged(
-        self, config: PibeConfig, profile: Optional[EdgeProfile]
-    ) -> BuildResult:
-        """Stamp ``config``'s defenses onto the shared optimized prefix."""
         self.stats["staged_builds"] += 1
-        prefix = self._optimized_prefix(config, profile)
-        module = clone_module(prefix.module, cow=True)
-        manager = PassManager(validate_after_each=False)
-        manager.add(HardeningPass(config.defenses))
-        harden_reports = manager.run(module)
-        # No per-variant validate_module: the prefix was validated when
-        # built, and hardening only sets instruction/module attributes —
-        # it cannot change the structure validation checks.
-        # Prefix reports are shared by every variant stamped from the
-        # entry; hand each BuildResult its own copy so downstream
-        # consumers can annotate them freely.
-        reports = copy.deepcopy(prefix.reports)
-        reports.update(harden_reports)
-        return BuildResult(config=config, module=module, reports=reports)
-
-    def _optimized_prefix(
-        self, config: PibeConfig, profile: Optional[EdgeProfile]
-    ) -> PrefixEntry:
-        """The shared pre-hardening module for ``config``'s optimization
-        facets: from the in-memory memo, else the disk cache, else built."""
-        key = PrefixKey.from_config(config)
-        digest = (
-            profile.digest()
-            if profile is not None and config.optimized
+        after_phase = (
+            functools.partial(verify_boundary, verify_each, profile)
+            if verify_each
             else None
         )
-        memo_key: Tuple[Optional[str], PrefixKey] = (digest, key)
-        entry = self._prefix_memo.get(memo_key)
-        if entry is not None:
-            self.stats["prefix_memory_hits"] += 1
-            return entry
+        prefix = self._optimized_prefix(config, profile, after_phase)
+        module = clone_module(prefix.module, cow=True)
+        harden_report = HardeningPass(config.defenses).run(module)
+        module.bump_version()
+        if after_phase is not None:
+            after_phase(HardeningPass.name, module)
+        # No per-variant validate_module: the prefix was validated when
+        # built, and hardening only sets attributes. Prefix reports are
+        # shared by every variant of the entry; each gets its own copy.
+        reports = copy.deepcopy(prefix.reports)
+        reports[HardeningPass.name] = harden_report
+        return BuildResult(config=config, module=module, reports=reports)
 
+    def _prefix_keys(
+        self, config: PibeConfig, profile: Optional[EdgeProfile]
+    ) -> Tuple[Tuple[Optional[str], PrefixKey], Optional[str]]:
+        """The in-memory memo key of ``config``'s prefix and, when the
+        pipeline has a disk cache, its ``"prefix"`` disk key."""
+        key = PrefixKey.from_config(config)
+        optimized = profile is not None and config.optimized
+        digest = profile.digest() if optimized else None
         disk_key: Optional[str] = None
         if self.cache is not None:
             from repro.evaluation.cache import cache_key
@@ -605,18 +511,38 @@ class PibePipeline:
                 digest,
                 key,
             )
-            payload = self.cache.get("prefix", disk_key)
-            if payload is not None:
-                entry = self._prefix_from_payload(payload, disk_key)
-                if entry is not None:
-                    self.stats["prefix_disk_hits"] += 1
-                    self._prefix_memo[memo_key] = entry
-                    return entry
+        return (digest, key), disk_key
 
-        entry = self._build_prefix(config, profile, key)
+    def _optimized_prefix(
+        self,
+        config: PibeConfig,
+        profile: Optional[EdgeProfile],
+        after_phase: Optional[Callable[[str, Module], None]] = None,
+    ) -> PrefixEntry:
+        """The shared pre-hardening module for ``config``'s optimization
+        facets: from the in-memory memo, else the disk cache, else built
+        (always built when ``after_phase`` is set)."""
+        memo_key, disk_key = self._prefix_keys(config, profile)
+        if after_phase is None:
+            entry = self._prefix_memo.get(memo_key)
+            if entry is not None:
+                self.stats["prefix_memory_hits"] += 1
+                return entry
+            if disk_key is not None:
+                payload = self.cache.get("prefix", disk_key)
+                if payload is not None:
+                    entry = self._prefix_from_payload(payload, disk_key)
+                    if entry is not None:
+                        self.stats["prefix_disk_hits"] += 1
+                        self._prefix_memo[memo_key] = entry
+                        return entry
+
+        entry = self._build_prefix(
+            memo_key[1], profile if config.optimized else None, after_phase
+        )
         self.stats["prefix_builds"] += 1
         self._prefix_memo[memo_key] = entry
-        if self.cache is not None and disk_key is not None:
+        if disk_key is not None:
             self._persist_prefix(disk_key, entry)
         return entry
 
@@ -625,155 +551,140 @@ class PibePipeline:
     ) -> None:
         """Build (or load) and persist the optimized prefix for ``config``
         without stamping a variant — the parallel-prewarm entry point."""
-        if not config.optimized:
-            return
-        self._optimized_prefix(config, profile)
+        if config.optimized:
+            self._optimized_prefix(config, profile)
 
     def prefix_state(
         self, config: PibeConfig, profile: Optional[EdgeProfile]
     ) -> str:
         """Where ``config``'s prefix currently resides: ``"memory"``,
         ``"disk"`` or ``"cold"`` (prewarm planning; no side effects)."""
-        key = PrefixKey.from_config(config)
-        digest = (
-            profile.digest()
-            if profile is not None and config.optimized
-            else None
-        )
-        if (digest, key) in self._prefix_memo:
+        memo_key, disk_key = self._prefix_keys(config, profile)
+        if memo_key in self._prefix_memo:
             return "memory"
-        if self.cache is not None:
-            from repro.evaluation.cache import cache_key
-
-            disk_key = cache_key(
-                "prefix",
-                PREFIX_CACHE_VERSION,
-                self._baseline_fingerprint(),
-                digest,
-                key,
-            )
-            if self.cache.has("prefix", disk_key):
-                return "disk"
+        if disk_key is not None and self.cache.has("prefix", disk_key):
+            return "disk"
         return "cold"
 
-    def _build_prefix(
-        self,
-        config: PibeConfig,
-        profile: Optional[EdgeProfile],
-        key: PrefixKey,
-    ) -> PrefixEntry:
-        """Build one optimized prefix, via the delta engine when possible."""
-        if self.incremental and profile is not None and config.optimized:
-            return self._build_prefix_incremental(profile, key)
-        return self._build_prefix_cold(config, profile, key)
-
-    # -- delta engine ------------------------------------------------------------
+    # -- prefix builder -------------------------------------------------------
 
     def _decision_basis(
-        self, profile: EdgeProfile, allow_jump_tables: bool
+        self, profile: Optional[EdgeProfile], allow_jump_tables: bool
     ) -> _DecisionBasis:
-        basis_key = (profile.digest(), allow_jump_tables)
-        basis = self._basis_memo.get(basis_key)
+        digest = profile.digest() if profile is not None else None
+        basis = self._basis_memo.get((digest, allow_jump_tables))
         if basis is None:
-            # Exactly the cold path's pre-decision steps, in cold order:
-            # COW clone, lift the profile, lower switches. None of them
-            # mint global ids, so the basis is allocator-neutral and the
-            # replay below stays bit-identical to a cold build.
+            # The reference pass list's pre-decision steps, in its order.
+            # None mint global ids, so the basis is allocator-neutral.
             module = clone_module(self.baseline, cow=True)
-            lift_profile(module, profile)
+            if profile is not None:
+                lift_profile(module, profile)
             lower_report = LowerSwitches(
                 allow_jump_tables=allow_jump_tables
             ).run(module)
             basis = _DecisionBasis(module, lower_report)
-            self._basis_memo[basis_key] = basis
+            self._basis_memo[digest, allow_jump_tables] = basis
         return basis
 
-    def _build_prefix_incremental(
-        self, profile: EdgeProfile, key: PrefixKey
+    def _build_prefix(
+        self,
+        key: PrefixKey,
+        profile: Optional[EdgeProfile],
+        after_phase: Optional[Callable[[str, Module], None]] = None,
     ) -> PrefixEntry:
-        """Decision/apply build of one optimized prefix from the shared
-        per-profile basis, transforming only functions the decisions touch.
+        """Decision/apply build of one prefix from the shared basis,
+        transforming only functions the decisions touch; ``profile`` is
+        ``None`` for an unoptimized key (no ICP, inlining or SimplifyCFG).
 
-        The pass sequence (and the reports dict's insertion order) mirrors
-        the cold monolithic prefix run exactly: lower, ICP, inliner,
-        SimplifyCFG, DCE. Decisions are planned against seeds / a
-        :class:`VirtualSpace` (no IR mutation), then replayed onto a COW
-        clone of the basis in decided order, so id minting matches a cold
-        build step for step.
+        Phases (and report order) mirror the reference pass list: lower,
+        ICP, inliner, SimplifyCFG, DCE, each followed by ``after_phase``.
+        Decisions replay in decided order, so id minting matches the
+        reference build step for step.
         """
         self.stats["prefix_delta_builds"] += 1
         basis = self._decision_basis(profile, key.allow_jump_tables)
         module = clone_module(basis.module, cow=True)
-        reports: Dict[str, Any] = {
-            LowerSwitches.name: copy.deepcopy(basis.lower_report)
-        }
+        reports: Dict[str, Any] = {}
 
-        icp_touched: set = set()
-        if key.icp_budget is not None:
-            icp = IndirectCallPromotion(budget=key.icp_budget)
-            icp_plan = icp.plan(
-                module, candidates=basis.icp_candidates(icp)
-            )
-            reports[IndirectCallPromotion.name] = icp.apply_plan(
-                module, icp_plan, icalls_before=basis.icalls_before()
-            )
-            icp_touched = {
-                name
-                for name in module.functions
-                if not module.is_cow_shared(name)
-            }
+        def done(phase: str, report: Any) -> None:
+            reports[phase] = report
+            module.bump_version()  # version-keyed analyses re-run
+            if after_phase is not None:
+                after_phase(phase, module)
 
-        if key.inline_budget is not None:
-
-            def seed_for(name: str) -> FunctionSeed:
-                # ICP rewrote these callers, so their basis seeds are
-                # stale; everything else is byte-for-byte basis state.
-                if name in icp_touched:
-                    return seed_function(module.functions[name])
-                return basis.seed(name)
-
-            space = VirtualSpace(list(module.functions), seed_for)
-            if key.use_default_inliner:
-                default_inliner = DefaultInliner(profile=profile)
-                inline_plan = default_inliner.plan(module, space)
-                reports[DefaultInliner.name] = default_inliner.apply_plan(
-                    module, inline_plan
+        done(LowerSwitches.name, copy.deepcopy(basis.lower_report))
+        if profile is not None:
+            icp_touched: set = set()
+            if key.icp_budget is not None:
+                icp = IndirectCallPromotion(budget=key.icp_budget)
+                icp_plan = icp.plan(
+                    module, candidates=basis.icp_candidates(icp)
                 )
-            else:
-                inliner = PibeInliner(
-                    profile,
-                    budget=key.inline_budget,
-                    caller_threshold=key.caller_threshold,
-                    callee_threshold=key.callee_threshold,
-                    lax_heuristics=key.lax_heuristics,
+                done(
+                    IndirectCallPromotion.name,
+                    icp.apply_plan(
+                        module, icp_plan, icalls_before=basis.icalls_before()
+                    ),
                 )
-                inline_plan = inliner.plan(space)
-                reports[PibeInliner.name] = inliner.apply_plan(
-                    module, inline_plan
-                )
+                icp_touched = {
+                    name
+                    for name in module.functions
+                    if not module.is_cow_shared(name)
+                }
 
-        # SimplifyCFG: touched functions get a direct in-place pass;
-        # untouched ones reuse the basis's per-function result (a shared
-        # simplified clone, or nothing to merge). Replacing the mapping
-        # while leaving the name COW-shared is safe — the shared clone is
-        # never mutated, and any later mutable() clones it first.
-        simplifier = SimplifyCFG()
-        simplify_report = SimplifyCFGReport()
-        for name in list(module.functions):
-            if module.is_cow_shared(name):
-                shared_clone, merges = basis.simplified(name)
-                if shared_clone is not None:
-                    module.functions[name] = shared_clone
-                    simplify_report.merged_blocks += merges
-            else:
-                simplify_report.merged_blocks += simplifier._simplify(
-                    module.functions[name]
-                )
-        reports[SimplifyCFG.name] = simplify_report
+            if key.inline_budget is not None:
 
+                def seed_for(name: str) -> FunctionSeed:
+                    # ICP rewrote these callers, so their basis seeds are
+                    # stale; everything else is byte-for-byte basis state.
+                    if name in icp_touched:
+                        return seed_function(module.functions[name])
+                    return basis.seed(name)
+
+                space = VirtualSpace(list(module.functions), seed_for)
+                if key.use_default_inliner:
+                    default_inliner = DefaultInliner(profile=profile)
+                    inline_plan = default_inliner.plan(module, space)
+                    done(
+                        DefaultInliner.name,
+                        default_inliner.apply_plan(module, inline_plan),
+                    )
+                else:
+                    inliner = PibeInliner(
+                        profile,
+                        budget=key.inline_budget,
+                        caller_threshold=key.caller_threshold,
+                        callee_threshold=key.callee_threshold,
+                        lax_heuristics=key.lax_heuristics,
+                    )
+                    inline_plan = inliner.plan(space)
+                    done(
+                        PibeInliner.name,
+                        inliner.apply_plan(module, inline_plan),
+                    )
+
+            # SimplifyCFG: touched functions get a direct in-place pass;
+            # untouched ones reuse the basis's per-function result (a
+            # shared simplified clone, or nothing to merge). Replacing the
+            # mapping while leaving the name COW-shared is safe — the
+            # shared clone is never mutated; mutable() clones it first.
+            simplifier = SimplifyCFG()
+            simplify_report = SimplifyCFGReport()
+            for name in list(module.functions):
+                if module.is_cow_shared(name):
+                    shared_clone, merges = basis.simplified(name)
+                    if shared_clone is not None:
+                        module.functions[name] = shared_clone
+                        simplify_report.merged_blocks += merges
+                else:
+                    simplify_report.merged_blocks += simplifier._simplify(
+                        module.functions[name]
+                    )
+            done(SimplifyCFG.name, simplify_report)
         if key.run_dce:
-            reports[DeadFunctionElimination.name] = self._dce_incremental(
-                module, basis
+            done(
+                DeadFunctionElimination.name,
+                self._dce_incremental(module, basis),
             )
 
         # Validation: touched functions always; untouched (shared) bodies
@@ -801,7 +712,7 @@ class PibePipeline:
         graph: shared functions reuse edge lists cached on the basis, so
         each delta only scans the functions its decisions touched. Same
         roots, same reachability, same removal order — the report and the
-        surviving module are bit-identical to the monolithic pass.
+        surviving module are bit-identical to the pass itself.
         """
         from repro.ir.types import FunctionAttr
 
@@ -836,29 +747,6 @@ class PibePipeline:
                 module._cow_shared.discard(name)
                 report.removed_functions += 1
         return report
-
-    def _build_prefix_cold(
-        self,
-        config: PibeConfig,
-        profile: Optional[EdgeProfile],
-        key: PrefixKey,
-    ) -> PrefixEntry:
-        """Run the pre-hardening pass list once, on a COW baseline clone."""
-        module = clone_module(self.baseline, cow=True)
-        passes: List[ModulePass] = [
-            LowerSwitches(allow_jump_tables=key.allow_jump_tables)
-        ]
-        if profile is not None and config.optimized:
-            lift_profile(module, profile)
-            self._add_optimization_passes(passes, config, profile)
-        if key.run_dce:
-            passes.append(DeadFunctionElimination())
-        manager = PassManager(validate_after_each=False)
-        for pass_ in passes:
-            manager.add(pass_)
-        reports = manager.run(module)
-        validate_module(module)
-        return PrefixEntry(module=module, reports=reports, source="built")
 
     # -- chunked prefix persistence ---------------------------------------------
 

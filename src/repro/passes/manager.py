@@ -102,18 +102,27 @@ class PassManager:
             if self.validate_after_each:
                 validate_module(module)
             if self.verify_each:
-                # Imported lazily: repro.static pulls in hardening/profiling
-                # modules that themselves import this pass manager.
-                from repro.static.analyzer import assert_clean
-
-                rules = None if self.verify_each is True else self.verify_each
-                assert_clean(
-                    module,
-                    rules=rules,
-                    profile=self.verify_profile,
-                    context=f"after pass {name!r}",
+                verify_boundary(
+                    self.verify_each, self.verify_profile, name, module
                 )
         return reports
+
+
+def verify_boundary(
+    verify_each: Any, profile: Any, name: str, module: Module
+) -> None:
+    """Static analysis after pass ``name`` (``verify_each``: ``True`` or
+    a rule selection); errors raise ``StaticAnalysisError`` naming it."""
+    # Imported lazily: repro.static pulls in hardening/profiling
+    # modules that themselves import this pass manager.
+    from repro.static.analyzer import assert_clean
+
+    assert_clean(
+        module,
+        rules=None if verify_each is True else verify_each,
+        profile=profile,
+        context=f"after pass {name!r}",
+    )
 
 
 def run_pipeline(

@@ -17,10 +17,10 @@ Table 11 census read too.  It is seeded from the stock defense
 frozensets and lets new backends (FineIBT, PAC) register extension tags
 at runtime; an extension tag is accepted in place of the stock tag
 wherever it covers every class the config promises (else ``PIBE507``).
-Custom-defense tags (:mod:`repro.hardening.custom`) are accepted on any
-eligible branch (``PIBE505`` on an exempt one); on modules a custom
-pass has processed, an untagged branch is the custom registration's
-business, not the stock config's promise.
+Custom-defense tags (:mod:`repro.hardening.custom`) get the same class
+check (``PIBE507``; ``PIBE505`` on an exempt branch); on modules a
+custom pass has processed, an untagged branch is the custom
+registration's business, not the stock config's promise.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class SpeculationCoverageRule(Rule):
         "PIBE506": "unknown defense tag (not stock, not registered custom)",
         "PIBE507": "promised tag is outside its protection class",
     }
-    version = 3  # custom tags joined the one protection table
+    version = 4  # custom tags are class-checked like extension tags
 
     def check_function(self, func, module: Module, ctx) -> Iterable[Diagnostic]:
         config = applied_config(module)
@@ -87,6 +87,7 @@ class SpeculationCoverageRule(Rule):
                 tag = inst.defense
                 kind = tag_kind(tag)
                 expected = expected_defense(func, inst, config)
+                required = required_classes(inst.opcode, config)
 
                 if tag is not None and kind in (None, CUSTOM):
                     if kind is None:
@@ -105,7 +106,12 @@ class SpeculationCoverageRule(Rule):
                             f"custom defense tag {tag!r}",
                             **loc,
                         )
-                    # custom tag on an eligible branch: accepted
+                    else:
+                        # A custom lowering replaces the stock one, so
+                        # it must close every vector the config claims.
+                        yield from self._check_class(
+                            inst, tag, required, config, loc
+                        )
                     continue
 
                 if expected is None:
@@ -137,8 +143,6 @@ class SpeculationCoverageRule(Rule):
                         **loc,
                     )
                     continue
-
-                required = required_classes(inst.opcode, config)
 
                 if tag != expected.value:
                     # A registered extension backend (FineIBT/PAC) is an

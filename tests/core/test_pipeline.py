@@ -63,7 +63,7 @@ def test_validate_mode(small_pipeline, small_profile):
             DefenseConfig.all_defenses(), icp_budget=0.99, inline_budget=0.99
         ),
         small_profile,
-        validate=True,
+        verify_each=["structural"],
     )
     validate_module(build.module)
 

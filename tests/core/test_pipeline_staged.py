@@ -1,5 +1,5 @@
-"""Staged build engine: bit-identity with monolithic builds, prefix
-sharing, disk persistence and copy-on-write discipline."""
+"""Staged build engine: bit-identity with the monolithic reference
+build, prefix sharing, disk persistence and copy-on-write discipline."""
 
 import json
 
@@ -11,6 +11,7 @@ from repro.core.pipeline import (
     PrefixKey,
     deterministic_build_ids,
 )
+from repro.core.reference import reference_build
 from repro.evaluation.cache import DiskCache
 from repro.hardening.defenses import DefenseConfig
 from repro.ir.fingerprint import module_fingerprint
@@ -30,11 +31,17 @@ def _fingerprint(module) -> str:
     return module_fingerprint(module, include_sites=True)
 
 
-def _build(pipeline, config, profile, staged):
-    """One variant under a fresh id checkpoint, so staged and monolithic
+def _build(pipeline, config, profile):
+    """One variant under a fresh id checkpoint, so staged and reference
     builds mint identical site ids and inline labels."""
     with deterministic_build_ids():
-        return pipeline.build_variant(config, profile, staged=staged)
+        return pipeline.build_variant(config, profile)
+
+
+def _oracle(kernel, config, profile):
+    """The monolithic reference build under a fresh id checkpoint."""
+    with deterministic_build_ids():
+        return reference_build(kernel, config, profile)
 
 
 @pytest.fixture()
@@ -52,28 +59,30 @@ def fresh_pipeline(small_kernel):
     "defenses", DEFENSE_SWEEP, ids=lambda d: d.label()
 )
 def test_staged_bit_identical_to_monolithic(
-    fresh_pipeline, small_profile, defenses
+    fresh_pipeline, small_kernel, small_profile, defenses
 ):
     config = PibeConfig.lax(defenses)
-    mono = _build(fresh_pipeline, config, small_profile, staged=False)
-    staged = _build(fresh_pipeline, config, small_profile, staged=True)
+    mono = _oracle(small_kernel, config, small_profile)
+    staged = _build(fresh_pipeline, config, small_profile)
     assert _fingerprint(staged.module) == _fingerprint(mono.module)
     assert format_module(staged.module) == format_module(mono.module)
     validate_module(staged.module)
 
 
-def test_staged_unoptimized_bit_identical(fresh_pipeline):
+def test_staged_unoptimized_bit_identical(fresh_pipeline, small_kernel):
     config = PibeConfig.hardened(DefenseConfig.retpolines_only())
-    mono = _build(fresh_pipeline, config, None, staged=False)
-    staged = _build(fresh_pipeline, config, None, staged=True)
+    mono = _oracle(small_kernel, config, None)
+    staged = _build(fresh_pipeline, config, None)
     assert _fingerprint(staged.module) == _fingerprint(mono.module)
     assert format_module(staged.module) == format_module(mono.module)
 
 
-def test_staged_reports_match_monolithic(fresh_pipeline, small_profile):
+def test_staged_reports_match_monolithic(
+    fresh_pipeline, small_kernel, small_profile
+):
     config = PibeConfig.lax(DefenseConfig.all_defenses())
-    mono = _build(fresh_pipeline, config, small_profile, staged=False)
-    staged = _build(fresh_pipeline, config, small_profile, staged=True)
+    mono = _oracle(small_kernel, config, small_profile)
+    staged = _build(fresh_pipeline, config, small_profile)
     assert set(staged.reports) == set(mono.reports)
     assert (
         staged.reports["hardening"].sites_by_defense
@@ -91,15 +100,12 @@ def test_staged_reports_match_monolithic(fresh_pipeline, small_profile):
 def test_defense_sweep_shares_prefixes(small_kernel, small_profile):
     pipeline = PibePipeline(small_kernel)
     for defenses in DEFENSE_SWEEP:
-        pipeline.build_variant(
-            PibeConfig.lax(defenses), small_profile, staged=True
-        )
+        pipeline.build_variant(PibeConfig.lax(defenses), small_profile)
     # jump-table legality is the only defense facet inside the prefix:
     # {none, ret-retpolines} allow tables, the other three do not.
     assert pipeline.stats["staged_builds"] == 5
     assert pipeline.stats["prefix_builds"] == 2
     assert pipeline.stats["prefix_memory_hits"] == 3
-    assert pipeline.stats["monolithic_builds"] == 0
 
 
 def test_prefix_key_ignores_defense_selection():
@@ -126,22 +132,12 @@ def test_prefix_key_drops_budget_facets_when_unoptimized():
     assert not a.lax_heuristics
 
 
-def test_validate_mode_forces_monolithic(small_pipeline, small_profile):
-    before = small_pipeline.stats["monolithic_builds"]
-    small_pipeline.build_variant(
-        PibeConfig.lax(DefenseConfig.retpolines_only()),
-        small_profile,
-        validate=True,
-    )
-    assert small_pipeline.stats["monolithic_builds"] == before + 1
-
-
 def test_variant_reports_are_private(small_kernel, small_profile):
     pipeline = PibePipeline(small_kernel)
     config = PibeConfig.lax(DefenseConfig.retpolines_only())
-    first = pipeline.build_variant(config, small_profile, staged=True)
+    first = pipeline.build_variant(config, small_profile)
     first.reports["pibe-inliner"].inlined_weight = -1
-    second = pipeline.build_variant(config, small_profile, staged=True)
+    second = pipeline.build_variant(config, small_profile)
     assert second.reports["pibe-inliner"].inlined_weight != -1
 
 
@@ -149,9 +145,7 @@ def test_staged_baseline_never_mutated(small_kernel, small_profile):
     pipeline = PibePipeline(small_kernel)
     fp_before = _fingerprint(small_kernel)
     for defenses in DEFENSE_SWEEP:
-        pipeline.build_variant(
-            PibeConfig.lax(defenses), small_profile, staged=True
-        )
+        pipeline.build_variant(PibeConfig.lax(defenses), small_profile)
     assert _fingerprint(small_kernel) == fp_before
 
 
@@ -165,11 +159,11 @@ def test_disk_warm_prefix_is_bit_identical(
     cache = DiskCache(tmp_path)
 
     cold_pipeline = PibePipeline(small_kernel, cache=cache)
-    cold = _build(cold_pipeline, config, small_profile, staged=True)
+    cold = _build(cold_pipeline, config, small_profile)
     assert cold_pipeline.stats["prefix_builds"] == 1
 
     warm_pipeline = PibePipeline(small_kernel, cache=cache)
-    warm = _build(warm_pipeline, config, small_profile, staged=True)
+    warm = _build(warm_pipeline, config, small_profile)
     assert warm_pipeline.stats["prefix_disk_hits"] == 1
     assert warm_pipeline.stats["prefix_builds"] == 0
     assert cache.stats()["by_kind"]["prefix"]["hits"] == 1
@@ -188,7 +182,7 @@ def test_tampered_prefix_payload_is_rebuilt(
     config = PibeConfig.lax(DefenseConfig.all_defenses())
     cache = DiskCache(tmp_path)
     cold_pipeline = PibePipeline(small_kernel, cache=cache)
-    cold = _build(cold_pipeline, config, small_profile, staged=True)
+    cold = _build(cold_pipeline, config, small_profile)
 
     (entry,) = (tmp_path / "prefix").glob("*.json")
     payload = json.loads(entry.read_text())
@@ -196,7 +190,7 @@ def test_tampered_prefix_payload_is_rebuilt(
     entry.write_text(json.dumps(payload))
 
     warm_pipeline = PibePipeline(small_kernel, cache=cache)
-    warm = _build(warm_pipeline, config, small_profile, staged=True)
+    warm = _build(warm_pipeline, config, small_profile)
     # content hash mismatch -> treated as a miss, prefix rebuilt; the
     # corrupt header is quarantined and counted, like any corrupt entry
     assert warm_pipeline.stats["prefix_disk_hits"] == 0
@@ -213,12 +207,12 @@ def test_profile_identity_keys_prefix(tmp_path, small_kernel, small_profile):
     cache = DiskCache(tmp_path)
     config = PibeConfig.lax(DefenseConfig.retpolines_only())
     pipeline = PibePipeline(small_kernel, cache=cache)
-    pipeline.build_variant(config, small_profile, staged=True)
+    pipeline.build_variant(config, small_profile)
 
     other_profile = PibePipeline(small_kernel).profile(
         lmbench_workload(ops_scale=0.01), iterations=1
     )
     assert other_profile.digest() != small_profile.digest()
-    pipeline.build_variant(config, other_profile, staged=True)
+    pipeline.build_variant(config, other_profile)
     # a different profile must not reuse the first prefix
     assert pipeline.stats["prefix_builds"] == 2

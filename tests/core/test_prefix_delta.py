@@ -1,7 +1,7 @@
 """Delta prefix engine: budget ladders derived from a shared decision
-basis must be bit-identical to cold builds, chunked persistence must
-dedup across entries and quarantine corrupt chunks, and the prewarm path
-must hand prefixes over through the disk cache."""
+basis must be bit-identical to the monolithic reference build, chunked
+persistence must dedup across entries and quarantine corrupt chunks, and
+the prewarm path must hand prefixes over through the disk cache."""
 
 import json
 
@@ -12,6 +12,7 @@ from repro.core.pipeline import (
     PibePipeline,
     deterministic_build_ids,
 )
+from repro.core.reference import reference_build
 from repro.evaluation.cache import DiskCache
 from repro.evaluation.harness import EvalContext, EvalSettings
 from repro.hardening.defenses import DefenseConfig
@@ -31,7 +32,12 @@ def _fp(module) -> str:
 
 def _build(pipeline, config, profile):
     with deterministic_build_ids():
-        return pipeline.build_variant(config, profile, staged=True)
+        return pipeline.build_variant(config, profile)
+
+
+def _cold(kernel, config, profile):
+    with deterministic_build_ids():
+        return reference_build(kernel, config, profile)
 
 
 def _ladder_configs(defenses, **overrides):
@@ -46,7 +52,7 @@ def _ladder_configs(defenses, **overrides):
     ]
 
 
-# -- delta == cold bit-identity ------------------------------------------------
+# -- delta == reference bit-identity ------------------------------------------
 
 
 @pytest.mark.parametrize(
@@ -60,10 +66,9 @@ def test_delta_ladder_bit_identical_to_cold(
     small_kernel, small_profile, defenses
 ):
     delta = PibePipeline(small_kernel)
-    cold = PibePipeline(small_kernel, incremental=False)
     for config in _ladder_configs(defenses, lax_heuristics=True):
         d = _build(delta, config, small_profile)
-        c = _build(cold, config, small_profile)
+        c = _cold(small_kernel, config, small_profile)
         validate_module(d.module)
         assert _fp(d.module) == _fp(c.module)
         assert format_module(d.module) == format_module(c.module)
@@ -71,19 +76,16 @@ def test_delta_ladder_bit_identical_to_cold(
             d.reports, default=repr, sort_keys=True
         ) == json.dumps(c.reports, default=repr, sort_keys=True)
     assert delta.stats["prefix_delta_builds"] == len(LADDER)
-    assert cold.stats["prefix_delta_builds"] == 0
-    assert cold.stats["prefix_builds"] == len(LADDER)
 
 
 def test_delta_default_inliner_bit_identical(small_kernel, small_profile):
     delta = PibePipeline(small_kernel)
-    cold = PibePipeline(small_kernel, incremental=False)
     configs = _ladder_configs(
         DefenseConfig.all_defenses(), use_default_inliner=True
     )
     for config in configs:
         d = _build(delta, config, small_profile)
-        c = _build(cold, config, small_profile)
+        c = _cold(small_kernel, config, small_profile)
         assert _fp(d.module) == _fp(c.module)
         assert format_module(d.module) == format_module(c.module)
     assert delta.stats["prefix_delta_builds"] == len(LADDER)
@@ -91,12 +93,11 @@ def test_delta_default_inliner_bit_identical(small_kernel, small_profile):
 
 def test_delta_strict_heuristics_bit_identical(small_kernel, small_profile):
     delta = PibePipeline(small_kernel)
-    cold = PibePipeline(small_kernel, incremental=False)
     config = PibeConfig.hardened(
         DefenseConfig.all_defenses(), icp_budget=0.99, inline_budget=0.99
     )
     d = _build(delta, config, small_profile)
-    c = _build(cold, config, small_profile)
+    c = _cold(small_kernel, config, small_profile)
     assert _fp(d.module) == _fp(c.module)
     assert format_module(d.module) == format_module(c.module)
 
@@ -266,18 +267,3 @@ def test_prewarm_noop_without_cache_or_jobs(small_kernel):
         assert ctx.prewarm_prefixes(configs, "lmbench", jobs=1) == 0
         assert ctx.prewarm_prefixes(configs, "lmbench", jobs=4) == 0  # no cache
 
-
-def test_incremental_prefixes_setting_wires_through(small_kernel):
-    on = EvalContext(
-        EvalSettings(spec=SmallSpec()), kernel=small_kernel
-    )
-    off = EvalContext(
-        EvalSettings(spec=SmallSpec(), incremental_prefixes=False),
-        kernel=small_kernel,
-    )
-    try:
-        assert on.pipeline.incremental
-        assert not off.pipeline.incremental
-    finally:
-        on.close()
-        off.close()

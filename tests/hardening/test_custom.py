@@ -148,8 +148,6 @@ def test_timing_charges_custom_cost():
 def test_pibe_reduces_custom_defense_overhead(small_pipeline, small_profile):
     """The paper's claim: the approach applies to any high-overhead
     defense (e.g. path-sensitive CFI)."""
-    import copy
-
     from repro.core.config import PibeConfig
     from repro.workloads.base import measure_benchmark
     from repro.workloads.lmbench import BY_NAME
@@ -157,13 +155,14 @@ def test_pibe_reduces_custom_defense_overhead(small_pipeline, small_profile):
     register_defense(PSCFI_FWD)
     register_defense(PSCFI_RET)
 
+    # The custom pass stamps copy-on-write, so it runs on the variants
+    # themselves without touching the pipeline's cached prefixes.
     lto = small_pipeline.build_variant(PibeConfig.lto_baseline())
-    unopt = copy.deepcopy(lto.module)
+    unopt = small_pipeline.build_variant(PibeConfig.lto_baseline()).module
     CustomHardeningPass(forward=PSCFI_FWD, backward=PSCFI_RET).run(unopt)
-    optimized = small_pipeline.build_variant(
+    opt = small_pipeline.build_variant(
         PibeConfig.pibe_baseline(), small_profile
-    )
-    opt = copy.deepcopy(optimized.module)
+    ).module
     CustomHardeningPass(forward=PSCFI_FWD, backward=PSCFI_RET).run(opt)
 
     bench = BY_NAME["read"]

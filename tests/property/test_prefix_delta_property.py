@@ -1,6 +1,7 @@
 """Property: ANY budget ladder, visited in ANY order, built through the
 delta prefix engine (one shared decision basis per profile/jump-table
-axis) is bit-identical to independent cold builds of the same configs.
+axis) is bit-identical to independent monolithic reference builds of the
+same configs.
 This is the differential safety net behind the incremental engine's perf
 claims — order-insensitivity is the part the example-based ladder tests
 cannot cover."""
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import PibeConfig
 from repro.core.pipeline import PibePipeline, deterministic_build_ids
+from repro.core.reference import reference_build
 from repro.hardening.defenses import DefenseConfig
 from repro.ir.fingerprint import module_fingerprint
 from repro.ir.printer import format_module
@@ -50,10 +52,9 @@ def test_random_ladder_delta_matches_cold(
     lax,
     default_inliner,
 ):
-    # fresh pipelines per example: bit-identity requires prefixes minted
+    # a fresh pipeline per example: bit-identity requires prefixes minted
     # inside this example's own id checkpoints
     delta = PibePipeline(small_kernel)
-    cold = PibePipeline(small_kernel, incremental=False)
     for budget in budgets:  # hypothesis shuffles the ladder order
         config = PibeConfig(
             defenses=defenses,
@@ -63,9 +64,9 @@ def test_random_ladder_delta_matches_cold(
             use_default_inliner=default_inliner,
         )
         with deterministic_build_ids():
-            d = delta.build_variant(config, small_profile, staged=True)
+            d = delta.build_variant(config, small_profile)
         with deterministic_build_ids():
-            c = cold.build_variant(config, small_profile, staged=True)
+            c = reference_build(small_kernel, config, small_profile)
         validate_module(d.module)
         assert module_fingerprint(
             d.module, include_sites=True

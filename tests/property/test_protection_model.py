@@ -3,7 +3,8 @@
 Random modules (boot-only and inline-asm functions, asm icall sites,
 jump-table and target-less ijumps) are hardened under every defense
 config, then optionally re-stamped with a registered extension tag or a
-custom-defense pass. Three views of "is this site protected against
+custom-defense pass (including custom defenses that close fewer vectors
+than the config promises). Three views of "is this site protected against
 vector V" must then agree:
 
 - **attempts vs census** — for each vector, the sites a dynamic
@@ -71,17 +72,23 @@ PSCFI_RET = CustomDefense(
     "pscfi_ret", kind="backward", cycles=28.0,
     protects=frozenset({RET2SPEC, LVI}),
 )
+#: Custom defenses that leave LVI open: lint-clean only where the config
+#: does not promise LVI.
+WEAK_FWD = CustomDefense(
+    "weak_fwd", kind="forward", cycles=5.0, protects=frozenset({SPECTRE_V2}),
+)
+WEAK_RET = CustomDefense(
+    "weak_ret", kind="backward", cycles=5.0, protects=frozenset({RET2SPEC}),
+)
 
-#: How the stock-hardened module is re-stamped before the checks.
-_RESTAMPS = st.sampled_from(
-    [
-        "stock",
-        "extension",
-        "extension+ret",
-        "custom",
-        "custom-fwd",
-        "custom-ret",
-    ]
+#: How the stock-hardened module is re-stamped before the checks: a
+#: label, or a (forward, backward) custom-defense pair.
+_RESTAMPS = st.one_of(
+    st.sampled_from(["stock", "extension", "extension+ret"]),
+    st.tuples(
+        st.sampled_from([PSCFI_FWD, WEAK_FWD, None]),
+        st.sampled_from([PSCFI_RET, WEAK_RET, None]),
+    ).filter(any),
 )
 
 
@@ -124,7 +131,10 @@ def branchy_modules(draw, max_functions=5):
 
 def _harden(module, config, restamp):
     HardeningPass(config).run(module)
-    if restamp.startswith("extension"):
+    if isinstance(restamp, tuple):
+        forward, backward = restamp
+        CustomHardeningPass(forward=forward, backward=backward).run(module)
+    elif restamp.startswith("extension"):
         edges = {Opcode.ICALL, Opcode.IJUMP}
         if restamp.endswith("+ret"):
             edges.add(Opcode.RET)
@@ -132,11 +142,6 @@ def _harden(module, config, restamp):
             if inst.opcode in edges and inst.defense is not None:
                 inst.defense = FINEIBT
         module.bump_version()
-    elif restamp.startswith("custom"):
-        CustomHardeningPass(
-            forward=PSCFI_FWD if restamp != "custom-ret" else None,
-            backward=PSCFI_RET if restamp != "custom-fwd" else None,
-        ).run(module)
 
 
 def _site(func, inst):

@@ -1,13 +1,15 @@
 """Property: for ANY (budget, defense) configuration the staged build —
 prefix cache, copy-on-write stamp and all — is bit-identical to the
-monolithic build of the same config. This is the differential-testing
-safety net behind the staged engine's perf claims."""
+monolithic reference build (:mod:`repro.core.reference`) of the same
+config. This is the differential-testing safety net behind the staged
+engine's perf claims."""
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import PibeConfig
 from repro.core.pipeline import PibePipeline, deterministic_build_ids
+from repro.core.reference import reference_build
 from repro.hardening.defenses import DefenseConfig
 from repro.ir.fingerprint import module_fingerprint
 from repro.ir.printer import format_module
@@ -57,13 +59,9 @@ def test_staged_matches_monolithic_for_any_config(
         lax_heuristics=lax,
     )
     with deterministic_build_ids():
-        mono = fresh_pipeline.build_variant(
-            config, small_profile, staged=False
-        )
+        mono = reference_build(small_kernel, config, small_profile)
     with deterministic_build_ids():
-        staged = fresh_pipeline.build_variant(
-            config, small_profile, staged=True
-        )
+        staged = fresh_pipeline.build_variant(config, small_profile)
     validate_module(staged.module)
     assert module_fingerprint(
         staged.module, include_sites=True

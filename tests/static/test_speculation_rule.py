@@ -139,6 +139,42 @@ def test_registered_custom_tag_accepted():
     assert _codes(module) == []
 
 
+def test_custom_tag_short_of_promised_classes_pibe507():
+    module = _harden(_module())
+    weak = CustomDefense(
+        "weak_fwd", kind="forward", cycles=5.0, protects={"spectre_v2"}
+    )
+    CustomHardeningPass(forward=weak).run(module)
+    # all-defenses promises LVI on the icall too; the custom tag lacks it
+    assert _codes(module) == ["PIBE507"]
+
+
+def test_weak_custom_defense_on_kernel_is_flagged(small_kernel):
+    """A custom forward defense that closes Spectre V2 but not LVI,
+    stamped over an all-defenses kernel, reopens every forward site to
+    LVI; the lint must report each one instead of staying clean."""
+    from repro.core.config import PibeConfig
+    from repro.core.pipeline import PibePipeline
+    from repro.cpu.attacks import LVIAttack
+
+    build = PibePipeline(small_kernel).build_variant(
+        PibeConfig.hardened(DefenseConfig.all_defenses())
+    )
+    module = build.module
+    before = len(LVIAttack().hijackable_sites(module))
+    weak = CustomDefense(
+        "weak_fwd", kind="forward", cycles=5.0, protects={"spectre_v2"}
+    )
+    CustomHardeningPass(forward=weak).run(module)
+    reopened = len(LVIAttack().hijackable_sites(module)) - before
+    assert reopened > 0
+    errors = analyze_module(
+        module, rules=["speculation-coverage"]
+    ).errors()
+    assert {d.code for d in errors} == {"PIBE507"}
+    assert len(errors) == reopened
+
+
 def test_custom_tag_on_exempt_branch_pibe505():
     module = _module()
     fwd = CustomDefense(name="pscfi_fwd", kind="forward", cycles=10.0)
